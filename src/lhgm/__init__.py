@@ -3,8 +3,7 @@
 The package couples a small float64 autodiff engine (:mod:`lhgm.tensor`),
 discretized likelihood models (:mod:`lhgm.distributions`), an exact integer
 range coder (:mod:`lhgm.coder`), the hyperprior network (:mod:`lhgm.model`),
-a trainer (:mod:`lhgm.train`), the file codec (:mod:`lhgm.codec`), and
-analysis tools (:mod:`lhgm.bench`) behind one CLI (:mod:`lhgm.cli`).
+a trainer (:mod:`lhgm.train`) and typed failures (:mod:`lhgm.errors`).
 """
 
 __version__ = "0.1.0"

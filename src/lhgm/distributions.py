@@ -6,10 +6,11 @@ F(v+1/2) - F(v-1/2). At the edges of a finite alphabet the tail mass is
 folded into the edge bins so each row sums to one, which is exactly what
 the range coder needs.
 
-Four symmetric scalar families share one CDF interface (switching the
-family is a config change), K-component Gaussian mixtures generalize the
-single Gaussian, and a learnable monotone-network prior models the
-hyper-latent channels that have no conditioning.
+Pixels and latents use K-component discretized Gaussian mixtures, with
+one differentiable path for training (``mixture_prob``) and one table
+path for coding (``mixture_pmf``) that agree bit for bit. A learnable
+monotone-network prior models the hyper-latent channels that have no
+conditioning.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import ndtr
 
 from . import tensor as T
 from .tensor import Tensor
@@ -25,8 +26,6 @@ from .tensor import Tensor
 SIGMA_MIN = 1e-6
 LIKELIHOOD_FLOOR = 2.0**-64
 _LN2 = float(np.log(2.0))
-
-FAMILIES = ("gaussian", "laplace", "logistic", "cauchy")
 
 # Diagnostics: how many probabilities hit the likelihood floor inside
 # rate_bits since the last reset. Early mixture training occasionally
@@ -67,52 +66,6 @@ class Alphabet:
 
 
 PIXEL_ALPHABET = Alphabet(0, 255)
-
-
-def standard_cdf(family: str, x: np.ndarray) -> np.ndarray:
-    """CDF of the standardized (mu=0, scale=1) family, elementwise."""
-    if family == "gaussian":
-        return ndtr(x)
-    if family == "laplace":
-        return np.where(x < 0, 0.5 * np.exp(np.minimum(x, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(x, 0.0)))
-    if family == "logistic":
-        return expit(x)
-    if family == "cauchy":
-        return np.arctan(x) / np.pi + 0.5
-    raise ValueError(f"unknown family {family!r}")
-
-
-def discretized_prob(family: str, mu, scale, v, alphabet: Alphabet) -> np.ndarray:
-    """Probability of integer v under the discretized family with edge folding.
-
-    Uses |v - mu| so both CDF arguments stay non-positive for interior bins,
-    which preserves precision deep in the tails of symmetric families.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    alphabet.check(v)
-    d = np.abs(v - mu)
-    upper = standard_cdf(family, (0.5 - d) / scale)
-    lower = standard_cdf(family, (-0.5 - d) / scale)
-    p = upper - lower
-    lo_fold = standard_cdf(family, ((alphabet.lo + 0.5) - mu) / scale)
-    hi_fold = standard_cdf(family, (mu - (alphabet.hi - 0.5)) / scale)
-    p = np.where(v == alphabet.lo, lo_fold, p)
-    p = np.where(v == alphabet.hi, hi_fold, p)
-    return p
-
-
-def family_pmf(family: str, mu, scale, alphabet: Alphabet) -> np.ndarray:
-    """PMF rows over the whole alphabet; mu/scale [...,] -> [..., size]."""
-    mu = np.asarray(mu, dtype=np.float64)[..., None]
-    scale = np.asarray(scale, dtype=np.float64)[..., None]
-    v = alphabet.values()
-    d = np.abs(v - mu)
-    p = standard_cdf(family, (0.5 - d) / scale) - standard_cdf(family, (-0.5 - d) / scale)
-    p[..., 0] = standard_cdf(family, ((alphabet.lo + 0.5) - mu[..., 0]) / scale[..., 0])
-    p[..., -1] = standard_cdf(family, (mu[..., 0] - (alphabet.hi - 0.5)) / scale[..., 0])
-    return p
 
 
 @dataclass
@@ -189,9 +142,9 @@ def mixture_pmf(weights: np.ndarray, means: np.ndarray, scales: np.ndarray, alph
     mu = means[:, :, None]
     s = scales[:, :, None]
     d = np.abs(v - mu)
-    p = standard_cdf("gaussian", (0.5 - d) / s) - standard_cdf("gaussian", (-0.5 - d) / s)
-    p[:, :, 0] = standard_cdf("gaussian", ((alphabet.lo + 0.5) - means) / scales)
-    p[:, :, -1] = standard_cdf("gaussian", (means - (alphabet.hi - 0.5)) / scales)
+    p = ndtr((0.5 - d) / s) - ndtr((-0.5 - d) / s)
+    p[:, :, 0] = ndtr(((alphabet.lo + 0.5) - means) / scales)
+    p[:, :, -1] = ndtr((means - (alphabet.hi - 0.5)) / scales)
     return np.sum(weights[:, :, None] * p, axis=1)
 
 
@@ -270,34 +223,6 @@ class FactorizedPrior:
         """Per-channel PMF table [channels, alphabet.size]."""
         v = np.tile(alphabet.values(), (self.channels, 1))
         return self.prob(Tensor(v), alphabet).data
-
-
-def prior_prob(prior: FactorizedPrior, channel: int, v: int, alphabet: Alphabet) -> float:
-    """Probability of integer v in one channel of the factorized prior."""
-    vals = np.full((prior.channels, 1), float(v))
-    return float(prior.prob(Tensor(vals), alphabet).data[channel, 0])
-
-
-@dataclass
-class PmfTable:
-    """Per-element probability rows over an alphabet."""
-
-    probs: np.ndarray  # [elements, alphabet.size]
-    alphabet: Alphabet
-
-    def __post_init__(self):
-        if self.probs.ndim != 2 or self.probs.shape[1] != self.alphabet.size:
-            raise ValueError("pmf table shape does not match alphabet")
-
-
-def build_pmf_table(params_or_prior, alphabet: Alphabet) -> PmfTable:
-    """PMF rows for a mixture (element order N,C,H,W) or the prior (per channel)."""
-    if isinstance(params_or_prior, MixtureParams):
-        w, m, s = params_or_prior.flat()
-        return PmfTable(mixture_pmf(w, m, s, alphabet), alphabet)
-    if isinstance(params_or_prior, FactorizedPrior):
-        return PmfTable(params_or_prior.pmf(alphabet), alphabet)
-    raise TypeError(f"cannot build pmf table from {type(params_or_prior).__name__}")
 
 
 def rate_bits(params_or_prior, values: Tensor, alphabet: Alphabet | None = None) -> Tensor:

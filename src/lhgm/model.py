@@ -36,6 +36,9 @@ _SCALE_SPAN_X = 32.0
 _SCALE_BIAS_X = float(np.log(np.expm1(8.0 / _SCALE_SPAN_X)))
 _SCALE_BIAS_Y = float(np.log(np.expm1(1.0)))
 
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+
 
 @dataclass
 class ModelConfig:
@@ -67,17 +70,22 @@ class ModelConfig:
     def from_text(cls, text: str) -> "ModelConfig":
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
-        for line in text.splitlines():
-            line = line.strip()
+        for raw in text.splitlines():
+            line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"malformed model config line: {raw!r}")
             key = key.strip()
             value = value.strip()
             if key not in types:
                 raise ValueError(f"unknown model config key {key!r}")
             if types[key] == "bool":
-                kwargs[key] = value.lower() in ("1", "true", "yes", "on")
+                flag = _BOOLS.get(value.lower())
+                if flag is None:
+                    raise ValueError(f"bad bool in model config line: {raw!r}")
+                kwargs[key] = flag
             elif types[key] == "int":
                 kwargs[key] = int(value)
             else:
@@ -98,7 +106,6 @@ class ForwardOutputs:
     params_x: MixtureParams
     params_y: MixtureParams
     prior: FactorizedPrior
-    mode: str
 
 
 class ModelWeights:
@@ -303,13 +310,6 @@ def hyper_trunk(z_q: Tensor, w: ModelWeights) -> Tensor:
     return _lrelu(_tconv(f, w, "hs1"), w)
 
 
-def hyper_synthesis(z_q: Tensor, w: ModelWeights) -> MixtureParams:
-    """Mixture parameters for y conditioned on the hyper-latents alone."""
-    cfg = w.config
-    raw = _conv(hyper_trunk(z_q, w), w, "hh")
-    return split_mixture(raw, cfg.mixture_k, cfg.latent_channels, pixel=False)
-
-
 def context_fuse(y_q: Tensor, hyper_feat: Tensor, w: ModelWeights) -> MixtureParams:
     """Fuse causal masked-conv features over decoded y with hyper features.
 
@@ -372,5 +372,4 @@ def forward(x: Tensor, w: ModelWeights, mode: str, rng: np.random.Generator | No
     feat = hyper_trunk(z_q, w)
     params_y = y_mixture_params(y_q, feat, w, w.config.context_model)
     params_x = synthesis(y_q, w)
-    return ForwardOutputs(y_q=y_q, z_q=z_q, params_x=params_x, params_y=params_y,
-                          prior=w.prior, mode=mode)
+    return ForwardOutputs(y_q=y_q, z_q=z_q, params_x=params_x, params_y=params_y, prior=w.prior)

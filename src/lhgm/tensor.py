@@ -34,8 +34,6 @@ __all__ = [
     "sigmoid",
     "softmax",
     "reduce_sum",
-    "reduce_mean",
-    "round_ste",
     "round_half_away",
     "std_normal_cdf",
     "reshape",
@@ -88,9 +86,6 @@ class Tensor:
 
     def _not_scalar(self):
         raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -403,36 +398,9 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
     return _make_out(data, (x,), bwd)
 
 
-def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    data = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if x.requires_grad:
-            if axis is None:
-                x.accumulate_grad(np.broadcast_to(g / count, x.shape).copy())
-            else:
-                ge = g if keepdims else np.expand_dims(g, axis)
-                x.accumulate_grad(np.broadcast_to(ge / count, x.shape).copy())
-
-    return _make_out(data, (x,), bwd)
-
-
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round to nearest integer, ties away from zero (2.5 -> 3, -2.5 -> -3)."""
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
-def round_ste(x: Tensor) -> Tensor:
-    """Round forward (half away from zero), pass gradient through unchanged."""
-    x = as_tensor(x)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g)
-
-    return _make_out(round_half_away(x.data), (x,), bwd)
 
 
 def std_normal_cdf(x: Tensor) -> Tensor:
@@ -657,7 +625,7 @@ def mask_a(kh: int, kw: int) -> np.ndarray:
     return m
 
 
-def masked_conv2d(x: Tensor, kernel: Tensor, mask_type: str = "A", bias: Tensor | None = None) -> Tensor:
+def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
     """Causal convolution: output at raster position p sees only inputs before p.
 
     Stride 1 with same-size padding; the kernel must be square with odd size.
@@ -665,8 +633,6 @@ def masked_conv2d(x: Tensor, kernel: Tensor, mask_type: str = "A", bias: Tensor 
     kernel is zero on masked taps.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if mask_type != "A":
-        raise ValueError(f"masked_conv2d: unsupported mask type {mask_type!r}")
     o, c, kh, kw = kernel.shape
     if kh != kw or kh % 2 == 0:
         raise ValueError(f"masked_conv2d: kernel must be square with odd size, got {kh}x{kw}")

@@ -30,8 +30,6 @@ from .tensor import GradTape, Tensor
 
 log = logging.getLogger(__name__)
 
-METRICS_HEADER = "step,rate_x,rate_y,rate_z,l2_x,l2_y,lambda,total,wall_time"
-
 
 @dataclass
 class TrainConfig:
@@ -58,31 +56,6 @@ class TrainConfig:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
 
 
-def parse_config_text(text: str) -> tuple[TrainConfig, ModelConfig]:
-    """Parse a combined key=value config; model keys carry a ``model.`` prefix."""
-    train_kwargs = {}
-    model_lines = []
-    train_types = {f.name: f.type for f in fields(TrainConfig)}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if key.startswith("model."):
-            model_lines.append(f"{key[len('model.') :]} = {value}")
-        elif key in train_types:
-            kind = train_types[key]
-            train_kwargs[key] = int(value) if kind == "int" else float(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    model_cfg = ModelConfig.from_text("\n".join(model_lines)) if model_lines else ModelConfig()
-    return TrainConfig(**train_kwargs), model_cfg
-
-
 @dataclass
 class LossBreakdown:
     """Loss components; total is composed exactly as rate + lambda * L2."""
@@ -94,17 +67,6 @@ class LossBreakdown:
     l2_y: Tensor
     lam: float
     total: Tensor
-
-    def floats(self) -> dict[str, float]:
-        return {
-            "rate_x": self.rate_x.item(),
-            "rate_y": self.rate_y.item(),
-            "rate_z": self.rate_z.item(),
-            "l2_x": self.l2_x.item(),
-            "l2_y": self.l2_y.item(),
-            "lambda": self.lam,
-            "total": self.total.item(),
-        }
 
 
 def lambda_schedule(step: int, config: TrainConfig) -> float:
@@ -210,10 +172,10 @@ class MetricsRow:
     wall_time: float
 
     def csv_line(self) -> str:
-        return (
-            f"{self.step},{self.rate_x!r},{self.rate_y!r},{self.rate_z!r},"
-            f"{self.l2_x!r},{self.l2_y!r},{self.lam!r},{self.total!r},{self.wall_time!r}"
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
 
 
 def write_metrics(rows, path) -> None:
@@ -229,7 +191,6 @@ def train_loop(
     model_config: ModelConfig | None = None,
     weights: ModelWeights | None = None,
     checkpoint_path=None,
-    extra_log_steps=(),
 ) -> tuple[ModelWeights, list[MetricsRow]]:
     """Run the optimization; returns final weights plus the metrics records.
 
@@ -247,7 +208,6 @@ def train_loop(
     params = weights.parameters()
     state = AdamState.init(params)
     metrics: list[MetricsRow] = []
-    extra = set(extra_log_steps)
     start = time.monotonic()
     initial_total = None
     high_loss_streak = 0
@@ -278,11 +238,9 @@ def train_loop(
         grads = {name: p.grad for name, p in params.items()}
         adam_step(params, grads, state, lr)
 
-        if (step % config.log_every == 0) or step == config.steps - 1 or step in extra:
-            f = lb.floats()
-            metrics.append(MetricsRow(step=step, wall_time=time.monotonic() - start,
-                                      lam=f["lambda"], **{k: f[k] for k in
-                                      ("rate_x", "rate_y", "rate_z", "l2_x", "l2_y", "total")}))
+        if (step % config.log_every == 0) or step == config.steps - 1:
+            losses = {f.name: T.as_tensor(getattr(lb, f.name)).item() for f in fields(lb)}
+            metrics.append(MetricsRow(step=step, wall_time=time.monotonic() - start, **losses))
         if checkpoint_path and config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
             weights.save(checkpoint_path)
 

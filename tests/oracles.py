@@ -96,23 +96,6 @@ def gaussian_bin_prob(v, mu, sigma, lo=None, hi=None):
     return float(upper - lower)
 
 
-def laplace_cdf(x, mu, b):
-    x, mu, b = map(mpmath.mpf, (x, mu, b))
-    if x < mu:
-        return mpmath.exp((x - mu) / b) / 2
-    return 1 - mpmath.exp(-(x - mu) / b) / 2
-
-
-def logistic_cdf(x, mu, s):
-    x, mu, s = map(mpmath.mpf, (x, mu, s))
-    return 1 / (1 + mpmath.exp(-(x - mu) / s))
-
-
-def cauchy_cdf(x, mu, g):
-    x, mu, g = map(mpmath.mpf, (x, mu, g))
-    return mpmath.atan((x - mu) / g) / mpmath.pi + mpmath.mpf("0.5")
-
-
 def adam_recursion(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Hand-rolled Adam on one scalar parameter starting at 0; returns values."""
     m = 0.0

@@ -9,18 +9,15 @@ import lhgm.tensor as T
 from lhgm.distributions import Alphabet, FactorizedPrior, MixtureParams
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import cauchy_cdf, gaussian_bin_prob, laplace_cdf, logistic_cdf, phi, rel_err
+from oracles import gaussian_bin_prob, phi, rel_err
 
 RNG = np.random.default_rng(7)
 
 WIDE = Alphabet(-60, 60)
 
-# Expected discretized probabilities at v=0, mu=0, unit scale, computed from
-# the high-precision closed-form CDF oracles (F(1/2) - F(-1/2)).
+# Expected discretized Gaussian probability at v=0, mu=0, unit scale, computed
+# from the high-precision CDF oracle (Phi(1/2) - Phi(-1/2)).
 SPOT_GAUSSIAN = 2 * phi(0.5) - 1  # 0.38292492254802624...
-SPOT_LAPLACE = float(laplace_cdf("0.5", 0, 1) - laplace_cdf("-0.5", 0, 1))  # 1 - e^-1/2
-SPOT_LOGISTIC = float(logistic_cdf("0.5", 0, 1) - logistic_cdf("-0.5", 0, 1))  # tanh(1/4)
-SPOT_CAUCHY = float(cauchy_cdf("0.5", 0, 1) - cauchy_cdf("-0.5", 0, 1))  # (2/pi) atan(1/2)
 
 
 def make_params(n=1, k=2, c=1, h=2, w=2, rng=RNG, mu_scale=3.0):
@@ -36,75 +33,89 @@ def make_params(n=1, k=2, c=1, h=2, w=2, rng=RNG, mu_scale=3.0):
     return params, (logits, raw_mu, raw_s)
 
 
+def single_gaussian(mu, scale):
+    """One-element K=1 mixture: a single discretized Gaussian."""
+    shape = (1, 1, 1, 1, 1)
+    return MixtureParams(Tensor(np.ones(shape)), Tensor(np.full(shape, mu)), Tensor(np.full(shape, scale)))
+
+
+def both_paths(mu, scale, v, alphabet):
+    """Probability of integer v via mixture_prob (K=1) and via the mixture_pmf table."""
+    params = single_gaussian(mu, scale)
+    prob = D.mixture_prob(params, Tensor(np.full((1, 1, 1, 1), float(v))), alphabet).item()
+    table = D.mixture_pmf(*params.flat(), alphabet)
+    return prob, float(table[0, int(v) - alphabet.lo])
+
+
 class TestSpotValues:
     def test_oracle_values_match_spec_constants(self):
-        # guard: the frozen constants in this file come from the oracles
+        # guard: the frozen constant in this file comes from the oracle
         assert abs(SPOT_GAUSSIAN - 0.3829249225) < 1e-9
-        assert abs(SPOT_LAPLACE - 0.3934693403) < 1e-9
-        assert abs(SPOT_LOGISTIC - 0.2449186624) < 1e-9
-        assert abs(SPOT_CAUCHY - 0.2951672353) < 1e-9
 
-    @pytest.mark.parametrize(
-        "family,expected",
-        [
-            ("gaussian", SPOT_GAUSSIAN),
-            ("laplace", SPOT_LAPLACE),
-            ("logistic", SPOT_LOGISTIC),
-            ("cauchy", SPOT_CAUCHY),
-        ],
-    )
-    def test_unit_scale_at_zero(self, family, expected):
-        got = D.discretized_prob(family, 0.0, 1.0, 0, Alphabet(-10, 10))
-        assert abs(float(got) - expected) < 1e-12
+    def test_unit_scale_at_zero(self):
+        for got in both_paths(0.0, 1.0, 0, Alphabet(-10, 10)):
+            assert abs(got - SPOT_GAUSSIAN) < 1e-12
 
     def test_left_tail_folding_on_pixel_alphabet(self):
-        got = D.discretized_prob("gaussian", 0.0, 1.0, 0, D.PIXEL_ALPHABET)
-        assert abs(float(got) - phi(0.5)) < 1e-12  # 0.6914624613
+        want = gaussian_bin_prob(0, 0.0, 1.0, lo=0, hi=255)
+        assert abs(want - phi(0.5)) < 1e-15  # 0.6914624613
+        for got in both_paths(0.0, 1.0, 0, D.PIXEL_ALPHABET):
+            assert abs(got - want) < 1e-12
+
+    def test_right_tail_folding_on_pixel_alphabet(self):
+        want = gaussian_bin_prob(255, 254.2, 1.5, lo=0, hi=255)
+        for got in both_paths(254.2, 1.5, 255, D.PIXEL_ALPHABET):
+            assert abs(got - want) < 1e-12
 
     def test_concentrated_mass(self):
-        got = D.discretized_prob("gaussian", 3.2, 0.01, 3, WIDE)
-        assert float(got) > 1 - 1e-9
+        assert gaussian_bin_prob(3, 3.2, 0.01) > 1 - 1e-9
+        for got in both_paths(3.2, 0.01, 3, WIDE):
+            assert got > 1 - 1e-9
 
     def test_out_of_alphabet_value_rejected(self):
         with pytest.raises(ValueError, match="alphabet"):
-            D.discretized_prob("gaussian", 0.0, 1.0, 99, Alphabet(-10, 10))
+            D.mixture_prob(single_gaussian(0.0, 1.0), Tensor(np.full((1, 1, 1, 1), 99.0)), Alphabet(-10, 10))
 
     def test_matches_signed_form_oracle(self):
         for v in (-3, -1, 0, 2, 5):
             for mu, s in ((0.4, 1.3), (-2.0, 0.6)):
                 want = gaussian_bin_prob(v, mu, s, lo=WIDE.lo, hi=WIDE.hi)
-                got = float(D.discretized_prob("gaussian", mu, s, v, WIDE))
-                assert abs(got - want) < 1e-14
+                for got in both_paths(mu, s, v, WIDE):
+                    assert abs(got - want) < 1e-14
+
+
+class TestOnePath:
+    """The coder's pmf table and the training likelihood are one computation.
+
+    Estimated bits (rate_bits) against the actual payload only measure the
+    coder when the table row entry at each coded symbol is the very number
+    mixture_prob returns for it.
+    """
+
+    @pytest.mark.parametrize("alphabet,center,spread", [(D.PIXEL_ALPHABET, 127.5, 90.0), (Alphabet(-20, 20), 0.0, 8.0)])
+    def test_table_entry_equals_mixture_prob(self, alphabet, center, spread):
+        rng = np.random.default_rng(21)
+        params, _ = make_params(n=2, k=3, c=3, h=4, w=5, rng=rng, mu_scale=spread / 3)
+        params.means.data += center
+        params.scales.data *= 4.0
+        v = np.clip(np.round(center + rng.normal(size=(2, 3, 4, 5)) * spread), alphabet.lo, alphabet.hi)
+        v.reshape(-1)[:4] = [alphabet.lo, alphabet.hi, alphabet.lo, alphabet.hi]
+        got = D.mixture_prob(params, Tensor(v), alphabet).data.reshape(-1)
+        table = D.mixture_pmf(*params.flat(), alphabet)
+        symbols = (v.reshape(-1) - alphabet.lo).astype(np.int64)
+        assert np.array_equal(table[np.arange(symbols.size), symbols], got)
 
 
 class TestNormalization:
-    @pytest.mark.parametrize("family", D.FAMILIES)
-    def test_family_pmf_sums_to_one(self, family):
-        mu = RNG.normal(size=50) * 5
-        s = np.abs(RNG.normal(size=50)) + 0.05
-        pmf = D.family_pmf(family, mu, s, WIDE)
-        np.testing.assert_allclose(pmf.sum(axis=-1), 1.0, atol=1e-6)
-        assert (pmf >= 0).all()
-
     def test_mixture_pmf_sums_to_one(self):
         params, _ = make_params(k=3, h=3, w=3)
-        table = D.build_pmf_table(params, WIDE)
-        np.testing.assert_allclose(table.probs.sum(axis=1), 1.0, atol=1e-6)
+        table = D.mixture_pmf(*params.flat(), WIDE)
+        np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-6)
 
     def test_monotone_cdf_differences(self):
-        mu = RNG.normal(size=20) * 4
-        s = np.abs(RNG.normal(size=20)) + 0.01
-        for family in D.FAMILIES:
-            pmf = D.family_pmf(family, mu, s, WIDE)
-            assert (pmf >= 0).all()
-
-    def test_cauchy_tail_heavier_than_gaussian(self):
-        alpha = Alphabet(-30, 30)
-        vals = alpha.values()
-        tail = np.abs(vals) > 5
-        pg = D.family_pmf("gaussian", 0.0, 1.0, alpha)[tail]
-        pc = D.family_pmf("cauchy", 0.0, 1.0, alpha)[tail]
-        assert pc.sum() > pg.sum()
+        params, _ = make_params(k=3, h=4, w=5, mu_scale=20.0)
+        params.scales.data *= 0.05
+        assert (D.mixture_pmf(*params.flat(), WIDE) >= 0).all()
 
 
 class TestMixture:
@@ -116,17 +127,19 @@ class TestMixture:
         params = MixtureParams(Tensor(w), Tensor(mu), Tensor(s))
         v = Tensor(np.round(RNG.normal(size=(1, 1, 2, 2)) * 2))
         got = D.mixture_prob(params, v, WIDE).data
-        want = D.discretized_prob("gaussian", mu[0, 0], s[0, 0], v.data[0], WIDE)
-        np.testing.assert_array_equal(got[0], want)
+        single = MixtureParams(Tensor(w[:, :1]), Tensor(mu[:, :1]), Tensor(s[:, :1]))
+        want = D.mixture_prob(single, v, WIDE).data
+        np.testing.assert_array_equal(got, want)
 
-    def test_k1_mixture_equals_discretized_prob(self):
+    def test_k1_mixture_matches_oracle(self):
         params, _ = make_params(k=1, h=3, w=3)
         v = Tensor(np.round(RNG.normal(size=(1, 1, 3, 3)) * 3))
         got = D.mixture_prob(params, v, WIDE).data
-        want = D.discretized_prob(
-            "gaussian", params.means.data[0, 0], params.scales.data[0, 0], v.data[0], WIDE
-        )
-        assert rel_err(got[0], want) < 1e-15
+        want = [
+            gaussian_bin_prob(vv, m, sc, lo=WIDE.lo, hi=WIDE.hi)
+            for vv, m, sc in zip(v.data.ravel(), params.means.data.ravel(), params.scales.data.ravel())
+        ]
+        assert rel_err(got.ravel(), want) < 1e-13
 
     def test_two_component_composition_against_oracle(self):
         w = np.full((1, 2, 1, 1, 1), 0.5)
@@ -157,19 +170,13 @@ class TestFactorizedPrior:
         assert (np.diff(c, axis=1) >= 0).all()
         assert (c > 0).all() and (c < 1).all()
 
-    def test_prior_prob_wrapper(self):
-        prior = FactorizedPrior(channels=3, rng=np.random.default_rng(11))
-        alpha = Alphabet(-8, 8)
-        p = D.prior_prob(prior, 1, 0, alpha)
-        assert 0 < p < 1
-
     def test_fits_discretized_gaussian_within_tolerance(self):
         # oracle: NLL of the sample under the true discretized N(0, 4)
         rng = np.random.default_rng(42)
         samples = np.round(rng.normal(0.0, 2.0, size=20000))
         values, counts = np.unique(samples, return_counts=True)
         alpha = Alphabet(int(values.min()) - 1, int(values.max()) + 1)
-        true_p = D.discretized_prob("gaussian", 0.0, 2.0, values, alpha)
+        true_p = np.array([gaussian_bin_prob(v, 0.0, 2.0, lo=alpha.lo, hi=alpha.hi) for v in values])
         true_nll = -np.sum(counts * np.log2(true_p)) / counts.sum()
 
         prior = FactorizedPrior(channels=1, rng=np.random.default_rng(1))
@@ -201,7 +208,7 @@ class TestFactorizedPrior:
 class TestRateBits:
     def test_single_element_half_probability_is_one_bit(self):
         # solve for the scale that puts exactly probability 0.5 on the bin
-        sigma = brentq(lambda s: (2 * D.standard_cdf("gaussian", 0.5 / s) - 1) - 0.5, 0.1, 5.0)
+        sigma = brentq(lambda s: (2 * phi(0.5 / s) - 1) - 0.5, 0.1, 5.0)
         params = MixtureParams(
             Tensor(np.ones((1, 1, 1, 1, 1))),
             Tensor(np.zeros((1, 1, 1, 1, 1))),
@@ -268,7 +275,7 @@ class TestGradients:
             fd = central_difference_grad(scalar, raws[i].copy())
             assert rel_err(tensors[i].grad, fd, floor=1e-6) < 1e-4
 
-    def test_prior_prob_gradients(self):
+    def test_factorized_prior_gradients(self):
         from oracles import central_difference_grad
 
         prior = FactorizedPrior(channels=1, rng=np.random.default_rng(2))

@@ -1,5 +1,7 @@
 """Hyperprior model: shapes, quantization, causality, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestPixelScaleHead:
 
 
 class TestContextCausality:
-    def test_context_off_equals_hyper_synthesis(self):
+    def test_context_off_ignores_y_q(self):
         cfg = ModelConfig.tiny(context_model=False)
         w = init_weights(cfg, seed=7)
         x = random_image(32, 32)
@@ -155,9 +157,9 @@ class TestContextCausality:
         z_q = M.quantize_infer(M.hyper_analysis(y, w))
         feat = M.hyper_trunk(z_q, w)
         a = M.y_mixture_params(y_q, feat, w, context=False)
-        b = M.hyper_synthesis(z_q, w)
-        assert np.array_equal(a.means.data, b.means.data)
-        assert np.array_equal(a.weights.data, b.weights.data)
+        b = M.y_mixture_params(Tensor(y_q.data + RNG.normal(size=y_q.shape) * 5), feat, w, context=False)
+        for name in ("weights", "means", "scales"):
+            assert np.array_equal(getattr(a, name).data, getattr(b, name).data), name
 
     def test_context_fuse_rejected_when_disabled(self):
         cfg = ModelConfig.tiny(context_model=False)
@@ -265,6 +267,35 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             ModelWeights.deserialize(b"XXXX" + b"\x00" * 64)
+
+    def test_damaged_bool_in_weights_config_rejected(self, tiny_weights):
+        blob = tiny_weights.serialize()
+        (cfg_len,) = struct.unpack_from("<I", blob, 5)
+        cfg = blob[9 : 9 + cfg_len]
+        assert b"context_model = True\n" in cfg
+        cfg = cfg.replace(b"context_model = True", b"context_model = ture")
+        bad = blob[:5] + struct.pack("<I", len(cfg)) + cfg + blob[9 + cfg_len :]
+        with pytest.raises(ValueError, match="ture"):
+            ModelWeights.deserialize(bad)
+
+
+class TestConfigText:
+    @pytest.mark.parametrize("config", [ModelConfig(), ModelConfig.tiny(False)], ids=["default", "tiny_no_context"])
+    def test_round_trip(self, config):
+        assert ModelConfig.from_text(config.to_text()) == config
+
+    @pytest.mark.parametrize("line", ["context_model", "context_model = ture", "context_model = "])
+    def test_malformed_bool_line_rejected(self, line):
+        with pytest.raises(ValueError, match=line.strip()):
+            ModelConfig.from_text(line)
+
+    @pytest.mark.parametrize("value,flag", [("TRUE", True), ("on", True), ("1", True), ("No", False), ("off", False), ("0", False)])
+    def test_bool_spellings(self, value, flag):
+        assert ModelConfig.from_text(f"context_model = {value}").context_model is flag
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown"):
+            ModelConfig.from_text("latent = 3")
 
 
 GOLDEN_NAMES = ("y_q.sum", "z_q.sum", "pixel_mean.mean", "pixel_scale.mean", "y_weights.std")
