@@ -17,6 +17,7 @@ restore spatial dims exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -142,38 +143,47 @@ class ModelWeights:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ModelWeights":
+        """Inverse of :meth:`serialize`; a cut, padded or inconsistent blob raises ValueError."""
         if data[:4] != WEIGHTS_MAGIC:
             raise ValueError("not a weights file (bad magic)")
-        version = data[4]
+        pos = 4
+
+        def take(size: int) -> bytes:
+            nonlocal pos
+            if pos + size > len(data):
+                raise ValueError(f"weights file truncated: {len(data)} bytes, needs at least {pos + size}")
+            pos += size
+            return data[pos - size : pos]
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+        (version,) = unpack("<B")
         if version != WEIGHTS_VERSION:
             raise ValueError(f"unsupported weights version {version}")
-        pos = 5
-        (cfg_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        config = ModelConfig.from_text(data[pos : pos + cfg_len].decode("utf-8"))
-        pos += cfg_len
-        (count,) = struct.unpack_from("<I", data, pos)
-        pos += 4
+        (cfg_len,) = unpack("<I")
+        config = ModelConfig.from_text(take(cfg_len).decode("utf-8"))
+        (count,) = unpack("<I")
         weights = init_weights(config, seed=0)
         if count != len(weights.tensors):
             raise ValueError(f"weights file has {count} tensors, expected {len(weights.tensors)}")
+        loaded = set()
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            name = data[pos : pos + name_len].decode("utf-8")
-            pos += name_len
-            ndim = data[pos]
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, pos)
-            pos += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(data, dtype="<f8", count=size, offset=pos).reshape(shape)
-            pos += 8 * size
+            (name_len,) = unpack("<H")
+            name = take(name_len).decode("utf-8")
+            (ndim,) = unpack("<B")
+            shape = unpack(f"<{ndim}I")
+            arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             if name not in weights.tensors:
                 raise ValueError(f"unexpected tensor {name!r} in weights file")
+            if name in loaded:
+                raise ValueError(f"tensor {name!r} appears twice in weights file")
             if weights.tensors[name].shape != tuple(shape):
                 raise ValueError(f"tensor {name!r} has shape {tuple(shape)}, expected {weights.tensors[name].shape}")
             weights.tensors[name].data = arr.astype(np.float64).copy()
+            loaded.add(name)
+        if pos != len(data):
+            raise ValueError(f"weights file has {len(data) - pos} trailing bytes")
         return weights
 
     def save(self, path) -> None:

@@ -17,14 +17,12 @@ __all__ = [
     "Tensor",
     "GradTape",
     "backward",
-    "set_checked",
     "as_tensor",
     "add",
     "sub",
     "mul",
     "div",
     "neg",
-    "exp",
     "log",
     "absolute",
     "clamp",
@@ -48,16 +46,6 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-# Checked mode upgrades silent float poison (log of non-positive values)
-# into an immediate error. Off by default to keep training loops fast.
-_CHECKED = False
-
-
-def set_checked(flag: bool) -> None:
-    global _CHECKED
-    _CHECKED = bool(flag)
-
 
 class Tensor:
     """N-dimensional float64 array, optionally tracked for gradients."""
@@ -266,21 +254,8 @@ def neg(x: Tensor) -> Tensor:
     return _make_out(-x.data, (x,), bwd)
 
 
-def exp(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-    data = np.exp(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * data)
-
-    return _make_out(data, (x,), bwd)
-
-
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    if _CHECKED and np.any(x.data <= 0.0):
-        raise ValueError("log of non-positive value in checked mode")
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
 
@@ -529,48 +504,61 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int, 
     return xp
 
 
-def _check_conv_args(x: Tensor, kernel: Tensor, stride: int, padding: int, odd_required: bool, opname: str):
+def _check_conv_args(x: Tensor, kernel: Tensor, bias, stride: int, padding: int, in_axis: int, opname: str):
+    """Shape checks shared by the three convolutions; ``in_axis`` is the kernel's input-channel axis."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"{opname}: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
     if stride < 1 or padding < 0:
         raise ValueError(f"{opname}: stride must be >= 1 and padding >= 0")
-    kh, kw = kernel.shape[2], kernel.shape[3]
-    if odd_required and (kh % 2 == 0 or kw % 2 == 0):
-        raise ValueError(f"{opname}: kernel dims must be odd, got {kh}x{kw}")
+    c_in, c_out = kernel.shape[in_axis], kernel.shape[1 - in_axis]
+    if x.shape[1] != c_in:
+        raise ValueError(f"{opname}: input has {x.shape[1]} channels but kernel expects {c_in}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ValueError(f"{opname}: bias shape {bias.shape} does not match {c_out} output channels")
+
+
+# One im2col cross-correlation serves all three convolutions. conv2d and
+# masked_conv2d run it as is (_corr_forward, _corr_backward). conv2d_transposed
+# runs its sides swapped: its forward is the input gradient, col2im(k2.T @ x),
+# and its input gradient the forward, k2 @ im2col(g). All three take the
+# kernel gradient, sum over n of a[n] @ b[n].T, from _kernel_grad.
+def _kernel_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _corr_forward(x: Tensor, k2: np.ndarray, bias, kh: int, kw: int, stride: int, pad: int):
+    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
+    out = np.matmul(k2, cols)  # [n, o, oh*ow]
+    if bias is not None:
+        out = out + bias.data.reshape(1, -1, 1)
+    return out.reshape(x.shape[0], -1, oh, ow), cols
+
+
+def _corr_backward(g, x: Tensor, kernel: Tensor, bias, k2, cols, kh, kw, stride, pad, mask=None) -> None:
+    g2 = g.reshape(g.shape[0], g.shape[1], -1)
+    if bias is not None and bias.requires_grad:
+        bias.accumulate_grad(g2.sum(axis=(0, 2)))
+    if kernel.requires_grad:
+        dk = _kernel_grad(g2, cols).reshape(kernel.shape)
+        kernel.accumulate_grad(dk if mask is None else dk * mask)
+    if x.requires_grad:
+        x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, kh, kw, stride, pad, *g.shape[2:]))
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation. Kernel layout [out_ch, in_ch, kh, kw]."""
     x, kernel = as_tensor(x), as_tensor(kernel)
-    _check_conv_args(x, kernel, stride, padding, odd_required=True, opname="conv2d")
-    n, c, _, _ = x.shape
-    o, kc, kh, kw = kernel.shape
-    if kc != c:
-        raise ValueError(f"conv2d: input has {c} channels but kernel expects {kc}")
-    if bias is not None and bias.shape != (o,):
-        raise ValueError(f"conv2d: bias shape {bias.shape} does not match {o} output channels")
-
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
+    _check_conv_args(x, kernel, bias, stride, padding, 1, "conv2d")
+    o, c, kh, kw = kernel.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
     k2 = kernel.data.reshape(o, c * kh * kw)
-    out = np.matmul(k2, cols)  # [n, o, oh*ow]
-    if bias is not None:
-        out = out + bias.data.reshape(1, o, 1)
-    data = out.reshape(n, o, oh, ow)
-
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    data, cols = _corr_forward(x, k2, bias, kh, kw, stride, padding)
 
     def bwd(g):
-        g2 = g.reshape(n, o, oh * ow)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g2.sum(axis=(0, 2)))
-        if kernel.requires_grad:
-            dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            kernel.accumulate_grad(dk.reshape(kernel.shape))
-        if x.requires_grad:
-            dcols = np.matmul(k2.T, g2)
-            x.accumulate_grad(_col2im(dcols, x.shape, kh, kw, stride, padding, oh, ow))
+        _corr_backward(g, x, kernel, bias, k2, cols, kh, kw, stride, padding)
 
-    return _make_out(data, inputs, bwd)
+    return _make_out(data, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
 def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -581,13 +569,9 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None = None, str
     exact 2x upsampling stages are built (e.g. k=4, stride=2, padding=1).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    _check_conv_args(x, kernel, stride, padding, odd_required=False, opname="conv2d_transposed")
+    _check_conv_args(x, kernel, bias, stride, padding, 0, "conv2d_transposed")
     n, ci, h, w = x.shape
-    kci, co, kh, kw = kernel.shape
-    if kci != ci:
-        raise ValueError(f"conv2d_transposed: input has {ci} channels but kernel expects {kci}")
-    if bias is not None and bias.shape != (co,):
-        raise ValueError(f"conv2d_transposed: bias shape {bias.shape} does not match {co} output channels")
+    _, co, kh, kw = kernel.shape
     oh = (h - 1) * stride - 2 * padding + kh
     ow = (w - 1) * stride - 2 * padding + kw
     if oh <= 0 or ow <= 0:
@@ -595,25 +579,20 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None = None, str
 
     k2 = kernel.data.reshape(ci, co * kh * kw)
     x2 = x.data.reshape(n, ci, h * w)
-    cols = np.matmul(k2.T, x2)  # [n, co*kh*kw, h*w]
-    data = _col2im(cols, (n, co, oh, ow), kh, kw, stride, padding, h, w)
+    data = _col2im(np.matmul(k2.T, x2), (n, co, oh, ow), kh, kw, stride, padding, h, w)
     if bias is not None:
         data = data + bias.data.reshape(1, co, 1, 1)
-
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        gcols, goh, gow = _im2col(g, kh, kw, stride, padding)  # back to [n, co*kh*kw, h*w]
+        gcols, _, _ = _im2col(g, kh, kw, stride, padding)  # back to [n, co*kh*kw, h*w]
         if kernel.requires_grad:
-            dk = np.einsum("nip,nmp->im", x2, gcols)
-            kernel.accumulate_grad(dk.reshape(kernel.shape))
+            kernel.accumulate_grad(_kernel_grad(x2, gcols).reshape(kernel.shape))
         if x.requires_grad:
-            dx = np.matmul(k2, gcols)
-            x.accumulate_grad(dx.reshape(x.shape))
+            x.accumulate_grad(np.matmul(k2, gcols).reshape(x.shape))
 
-    return _make_out(data, inputs, bwd)
+    return _make_out(data, (x, kernel) if bias is None else (x, kernel, bias), bwd)
 
 
 def mask_a(kh: int, kw: int) -> np.ndarray:
@@ -633,36 +612,15 @@ def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     kernel is zero on masked taps.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
+    _check_conv_args(x, kernel, bias, 1, 0, 1, "masked_conv2d")
     o, c, kh, kw = kernel.shape
     if kh != kw or kh % 2 == 0:
         raise ValueError(f"masked_conv2d: kernel must be square with odd size, got {kh}x{kw}")
-    n, xc, h, w = x.shape
-    if xc != c:
-        raise ValueError(f"masked_conv2d: input has {xc} channels but kernel expects {c}")
-    if bias is not None and bias.shape != (o,):
-        raise ValueError(f"masked_conv2d: bias shape {bias.shape} does not match {o} output channels")
-
     mask = mask_a(kh, kw)
-    km = kernel.data * mask  # broadcast over [o, c, kh, kw]
-    pad = kh // 2
-    cols, oh, ow = _im2col(x.data, kh, kw, 1, pad)
-    k2 = km.reshape(o, c * kh * kw)
-    out = np.matmul(k2, cols)
-    if bias is not None:
-        out = out + bias.data.reshape(1, o, 1)
-    data = out.reshape(n, o, oh, ow)
-
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    k2 = (kernel.data * mask).reshape(o, c * kh * kw)
+    data, cols = _corr_forward(x, k2, bias, kh, kw, 1, kh // 2)
 
     def bwd(g):
-        g2 = g.reshape(n, o, oh * ow)
-        if bias is not None and bias.requires_grad:
-            bias.accumulate_grad(g2.sum(axis=(0, 2)))
-        if kernel.requires_grad:
-            dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
-            kernel.accumulate_grad(dk * mask)
-        if x.requires_grad:
-            dcols = np.matmul(k2.T, g2)
-            x.accumulate_grad(_col2im(dcols, x.shape, kh, kw, 1, pad, oh, ow))
+        _corr_backward(g, x, kernel, bias, k2, cols, kh, kw, 1, kh // 2, mask)
 
-    return _make_out(data, inputs, bwd)
+    return _make_out(data, (x, kernel) if bias is None else (x, kernel, bias), bwd)

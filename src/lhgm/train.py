@@ -50,7 +50,6 @@ class TrainConfig:
     lr_switch_step: int = 4200
     seed: int = 0
     log_every: int = 50
-    checkpoint_every: int = 0
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
@@ -190,7 +189,6 @@ def train_loop(
     corpus,
     model_config: ModelConfig | None = None,
     weights: ModelWeights | None = None,
-    checkpoint_path=None,
 ) -> tuple[ModelWeights, list[MetricsRow]]:
     """Run the optimization; returns final weights plus the metrics records.
 
@@ -241,11 +239,7 @@ def train_loop(
         if (step % config.log_every == 0) or step == config.steps - 1:
             losses = {f.name: T.as_tensor(getattr(lb, f.name)).item() for f in fields(lb)}
             metrics.append(MetricsRow(step=step, wall_time=time.monotonic() - start, **losses))
-        if checkpoint_path and config.checkpoint_every and (step + 1) % config.checkpoint_every == 0:
-            weights.save(checkpoint_path)
 
     if state.skipped:
         log.warning("training finished with %d skipped steps", state.skipped)
-    if checkpoint_path:
-        weights.save(checkpoint_path)
     return weights, metrics

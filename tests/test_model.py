@@ -279,6 +279,40 @@ class TestSerialization:
             ModelWeights.deserialize(bad)
 
 
+    def test_every_cut_raises_value_error(self, tiny_weights):
+        blob = tiny_weights.serialize()
+        (cfg_len,) = struct.unpack_from("<I", blob, 5)
+        first = next(iter(tiny_weights.tensors.values()))
+        name_len = len(next(iter(tiny_weights.tensors)))
+        header_end = 9 + cfg_len + 4 + 2 + name_len + 1 + 4 * first.ndim
+        cuts = list(range(header_end + 1)) + list(range(header_end + 1, len(blob), 97)) + [len(blob) - 1]
+        for cut in cuts:
+            with pytest.raises(ValueError):
+                ModelWeights.deserialize(blob[:cut])
+
+    def test_trailing_bytes_rejected(self, tiny_weights):
+        with pytest.raises(ValueError, match="trailing"):
+            ModelWeights.deserialize(tiny_weights.serialize() + b"junk")
+
+    def test_repeated_tensor_rejected(self, tiny_weights):
+        entries = list(tiny_weights.tensors.items())
+        assert weights_blob(tiny_weights.config, entries) == tiny_weights.serialize()
+        # ga0.w written twice, ga0.b left out: the count and every length field still agree
+        names = [name for name, _ in entries]
+        entries[names.index("ga0.b")] = ("ga0.w", tiny_weights["ga0.w"])
+        with pytest.raises(ValueError, match="ga0.w"):
+            ModelWeights.deserialize(weights_blob(tiny_weights.config, entries))
+
+
+def weights_blob(config, entries):
+    """The serialize() layout, written field by field for the given (name, tensor) entries."""
+    cfg = config.to_text().encode("utf-8")
+    out = M.WEIGHTS_MAGIC + struct.pack("<BI", M.WEIGHTS_VERSION, len(cfg)) + cfg + struct.pack("<I", len(entries))
+    for name, t in entries:
+        out += struct.pack(f"<H{len(name)}sB{t.ndim}I", len(name), name.encode("utf-8"), t.ndim, *t.shape)
+        out += t.data.astype("<f8").tobytes()
+    return out
+
 class TestConfigText:
     @pytest.mark.parametrize("config", [ModelConfig(), ModelConfig.tiny(False)], ids=["default", "tiny_no_context"])
     def test_round_trip(self, config):

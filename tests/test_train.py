@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lhgm.train as TR
+from lhgm.errors import TrainingDivergedError
 from lhgm.model import ModelConfig
 from lhgm.tensor import Tensor
 from lhgm.train import (
@@ -106,3 +108,69 @@ class TestTrainLoop:
         for row, line in zip(rows, table[1:]):
             assert int(line[0]) == row.step
             assert [float(v) for v in line[1:]] == [getattr(row, f.name) for f in dataclasses.fields(row)][1:]
+
+
+def smooth_corpus(seed, count=4, size=32):
+    """Seeded RGB gradients with mild noise: images a model can learn to code below 8 bits."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:size, 0:size] / size
+    images = []
+    for _ in range(count):
+        a = rng.uniform(-100, 100, size=(3, 3))
+        img = 128 + a[:, 0] * yy[..., None] + a[:, 1] * xx[..., None] + rng.normal(0, 4, size=(size, size, 3))
+        images.append(np.clip(np.rint(img), 0, 255))
+    return images
+
+
+def tiny_schedule(**overrides):
+    base = dict(warmup_steps=0, batch=1, patch=16, seed=5, log_every=1)
+    return TrainConfig(**{**base, **overrides})
+
+
+class TestSchedules:
+    def test_lr_switches_at_lr_switch_step(self, monkeypatch):
+        seen = []
+        real_adam_step = TR.adam_step
+
+        def recording(params, grads, state, lr):
+            seen.append(lr)
+            return real_adam_step(params, grads, state, lr)
+
+        monkeypatch.setattr(TR, "adam_step", recording)
+        config = tiny_schedule(steps=4, lr=1e-3, lr_final=1e-4, lr_switch_step=2)
+        train_loop(config, smooth_corpus(0), model_config=ModelConfig.tiny())
+        assert seen == [1e-3, 1e-3, 1e-4, 1e-4]
+
+
+class TestDivergenceGuard:
+    """The run stops after 100 consecutive steps whose loss is above 10x the step-0 loss."""
+
+    def inflate_after_step_0(self, monkeypatch, keep=()):
+        real_loss = TR.loss
+
+        def inflated(outputs, x, step, config):
+            lb = real_loss(outputs, x, step, config)
+            if step > 0 and step not in keep:
+                lb.total = lb.total * 1e3
+            return lb
+
+        monkeypatch.setattr(TR, "loss", inflated)
+
+    def test_raises_after_100_high_steps(self, monkeypatch):
+        self.inflate_after_step_0(monkeypatch)
+        with pytest.raises(TrainingDivergedError, match=r"100 consecutive steps \(step 100\)"):
+            train_loop(tiny_schedule(steps=150), smooth_corpus(1), model_config=ModelConfig.tiny())
+
+    def test_one_normal_step_resets_the_streak(self, monkeypatch):
+        # 49 high steps before step 50 and 89 after it: without the reset the streak reaches 100 at step 101
+        self.inflate_after_step_0(monkeypatch, keep=(50,))
+        _, rows = train_loop(tiny_schedule(steps=140), smooth_corpus(1), model_config=ModelConfig.tiny())
+        assert rows[-1].step == 139
+
+
+class TestLearning:
+    def test_short_run_lowers_the_loss(self):
+        _, rows = train_loop(tiny_schedule(steps=60, batch=2), smooth_corpus(2), model_config=ModelConfig.tiny())
+        totals = [r.total for r in rows]
+        assert len(totals) == 60
+        assert np.mean(totals[-10:]) < np.mean(totals[:10])
