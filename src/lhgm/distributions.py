@@ -11,6 +11,12 @@ one differentiable path for training (``mixture_prob``) and one table
 path for coding (``mixture_pmf``) that agree bit for bit. A learnable
 monotone-network prior models the hyper-latent channels that have no
 conditioning.
+
+Memory contract of the table path: ``mixture_pmf`` fills its preallocated
+[elements, alphabet.size] result in fixed blocks of rows, so beyond the
+result itself it holds O(block * K * alphabet.size) scratch however many
+elements it is given. Rows are independent, so the block size changes no
+value.
 """
 
 from __future__ import annotations
@@ -26,20 +32,10 @@ from .tensor import Tensor
 SIGMA_MIN = 1e-6
 LIKELIHOOD_FLOOR = 2.0**-64
 _LN2 = float(np.log(2.0))
-
-# Diagnostics: how many probabilities hit the likelihood floor inside
-# rate_bits since the last reset. Early mixture training occasionally
-# underflows on outliers; the floor keeps the loss finite.
-_FLOOR_EVENTS = 0
-
-
-def floored_count() -> int:
-    return _FLOOR_EVENTS
-
-
-def reset_floored() -> None:
-    global _FLOOR_EVENTS
-    _FLOOR_EVENTS = 0
+# Rows per mixture_pmf block. On the 27648-row table of a 96x96 image,
+# blocks of 16 to 128 rows ran equally fast (larger ones slower); 64 rows
+# keep the scratch near 2 MB.
+_PMF_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -137,15 +133,23 @@ def mixture_mean(params: MixtureParams) -> Tensor:
 
 
 def mixture_pmf(weights: np.ndarray, means: np.ndarray, scales: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """PMF table [elements, alphabet.size] from flat [elements, K] arrays."""
+    """PMF table [elements, alphabet.size] from flat [elements, K] arrays, built in row blocks."""
+    if weights.ndim != 2 or not weights.shape == means.shape == scales.shape:
+        raise ValueError(
+            f"weights, means and scales must be 2-d [elements, K] of one shape, "
+            f"got {weights.shape}, {means.shape} and {scales.shape}"
+        )
     v = alphabet.values()[None, None, :]  # [1, 1, A]
-    mu = means[:, :, None]
-    s = scales[:, :, None]
-    d = np.abs(v - mu)
-    p = ndtr((0.5 - d) / s) - ndtr((-0.5 - d) / s)
-    p[:, :, 0] = ndtr(((alphabet.lo + 0.5) - means) / scales)
-    p[:, :, -1] = ndtr((means - (alphabet.hi - 0.5)) / scales)
-    return np.sum(weights[:, :, None] * p, axis=1)
+    out = np.empty((weights.shape[0], alphabet.size))
+    for start in range(0, weights.shape[0], _PMF_BLOCK_ROWS):
+        rows = slice(start, start + _PMF_BLOCK_ROWS)
+        m, s = means[rows], scales[rows]
+        d = np.abs(v - m[:, :, None])
+        p = ndtr((0.5 - d) / s[:, :, None]) - ndtr((-0.5 - d) / s[:, :, None])
+        p[:, :, 0] = ndtr(((alphabet.lo + 0.5) - m) / s)
+        p[:, :, -1] = ndtr((m - (alphabet.hi - 0.5)) / s)
+        np.sum(weights[rows, :, None] * p, axis=1, out=out[rows])
+    return out
 
 
 def _softplus_inv(y: float) -> float:
@@ -225,13 +229,16 @@ class FactorizedPrior:
         return self.prob(Tensor(v), alphabet).data
 
 
-def rate_bits(params_or_prior, values: Tensor, alphabet: Alphabet | None = None) -> Tensor:
+def rate_bits(
+    params_or_prior, values: Tensor, alphabet: Alphabet | None = None, *, floor_hits: list[int] | None = None
+) -> Tensor:
     """Total code length in bits: sum of -log2 p(v) over all elements.
 
     Differentiable through the parameters; probabilities are floored at
-    2^-64 before the log (floor hits are counted, see floored_count).
+    LIKELIHOOD_FLOOR before the log, since early mixture training can
+    underflow on outliers. When ``floor_hits`` is given, the number of
+    probabilities below the floor is appended to it.
     """
-    global _FLOOR_EVENTS
     if isinstance(params_or_prior, MixtureParams):
         p = mixture_prob(params_or_prior, values, alphabet)
     elif isinstance(params_or_prior, FactorizedPrior):
@@ -242,5 +249,6 @@ def rate_bits(params_or_prior, values: Tensor, alphabet: Alphabet | None = None)
         p = params_or_prior.prob(v, alphabet)
     else:
         raise TypeError(f"cannot compute rate from {type(params_or_prior).__name__}")
-    _FLOOR_EVENTS += int(np.count_nonzero(p.data < LIKELIHOOD_FLOOR))
+    if floor_hits is not None:
+        floor_hits.append(int(np.count_nonzero(p.data < LIKELIHOOD_FLOOR)))
     return T.reduce_sum(T.log(T.clamp(p, lo=LIKELIHOOD_FLOOR))) * (-1.0 / _LN2)

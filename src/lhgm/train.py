@@ -66,6 +66,7 @@ class LossBreakdown:
     l2_y: Tensor
     lam: float
     total: Tensor
+    floor_hits: int  # probabilities below D.LIKELIHOOD_FLOOR over x, y and z
 
 
 def lambda_schedule(step: int, config: TrainConfig) -> float:
@@ -77,9 +78,10 @@ def loss(outputs: ForwardOutputs, x: Tensor, step: int, config: TrainConfig) -> 
     """Rate-plus-L2 objective on train-mode outputs, averaged per image."""
     n = x.shape[0]
     inv_n = 1.0 / n
-    rate_x = D.rate_bits(outputs.params_x, x, D.PIXEL_ALPHABET) * inv_n
-    rate_y = D.rate_bits(outputs.params_y, outputs.y_q) * inv_n
-    rate_z = D.rate_bits(outputs.prior, outputs.z_q) * inv_n
+    hits: list[int] = []
+    rate_x = D.rate_bits(outputs.params_x, x, D.PIXEL_ALPHABET, floor_hits=hits) * inv_n
+    rate_y = D.rate_bits(outputs.params_y, outputs.y_q, floor_hits=hits) * inv_n
+    rate_z = D.rate_bits(outputs.prior, outputs.z_q, floor_hits=hits) * inv_n
     mu_x = D.mixture_mean(outputs.params_x)
     mu_y = D.mixture_mean(outputs.params_y)
     # x-side squared error is taken in the network's normalized pixel units
@@ -90,7 +92,7 @@ def loss(outputs: ForwardOutputs, x: Tensor, step: int, config: TrainConfig) -> 
     l2_y = T.reduce_sum(dy * dy) * inv_n
     lam = lambda_schedule(step, config)
     total = rate_x + rate_y + rate_z + lam * (l2_x + l2_y)
-    return LossBreakdown(rate_x, rate_y, rate_z, l2_x, l2_y, lam, total)
+    return LossBreakdown(rate_x, rate_y, rate_z, l2_x, l2_y, lam, total, sum(hits))
 
 
 @dataclass
@@ -168,6 +170,7 @@ class MetricsRow:
     l2_y: float
     lam: float
     total: float
+    floor_hits: int
     wall_time: float
 
     def csv_line(self) -> str:
@@ -237,7 +240,8 @@ def train_loop(
         adam_step(params, grads, state, lr)
 
         if (step % config.log_every == 0) or step == config.steps - 1:
-            losses = {f.name: T.as_tensor(getattr(lb, f.name)).item() for f in fields(lb)}
+            losses = {f.name: getattr(lb, f.name) for f in fields(lb)}
+            losses = {k: v.item() if isinstance(v, Tensor) else v for k, v in losses.items()}
             metrics.append(MetricsRow(step=step, wall_time=time.monotonic() - start, **losses))
 
     if state.skipped:

@@ -7,6 +7,7 @@ under test.
 
 import mpmath
 import numpy as np
+from scipy.special import ndtr
 
 mpmath.mp.dps = 50
 
@@ -94,6 +95,23 @@ def gaussian_bin_prob(v, mu, sigma, lo=None, hi=None):
     upper = mpmath.mpf(1) if (hi is not None and v == hi) else mpmath.ncdf((vm + mpmath.mpf("0.5") - mu) / sigma)
     lower = mpmath.mpf(0) if (lo is not None and v == lo) else mpmath.ncdf((vm - mpmath.mpf("0.5") - mu) / sigma)
     return float(upper - lower)
+
+
+def one_shot_mixture_pmf(weights, means, scales, lo, hi):
+    """Discretized Gaussian mixture table [elements, hi - lo + 1] in one shot.
+
+    The whole [elements, K, A] component table is built at once, with the
+    same float64 expressions in the same order as the coding path, so a
+    row-blocked implementation must match it bit for bit.
+    """
+    v = np.arange(lo, hi + 1, dtype=np.float64)[None, None, :]
+    mu = means[:, :, None]
+    s = scales[:, :, None]
+    d = np.abs(v - mu)
+    p = ndtr((0.5 - d) / s) - ndtr((-0.5 - d) / s)
+    p[:, :, 0] = ndtr(((lo + 0.5) - means) / scales)
+    p[:, :, -1] = ndtr((means - (hi - 0.5)) / scales)
+    return np.sum(weights[:, :, None] * p, axis=1)
 
 
 def adam_recursion(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -66,11 +66,46 @@ class TestQuantizeCdf:
         with pytest.raises(ValueError, match="sum"):
             quantize_cdf(np.array([0.5, 0.2]))
 
+    def test_sum_tolerance_is_the_one_named(self):
+        assert C.SUM_TOLERANCE == 1e-5
+        np.testing.assert_array_equal(quantize_cdf(np.array([0.5, 0.5 + 5e-6]))[-1], C.TOTAL)
+        with pytest.raises(ValueError, match="within 1e-05"):
+            quantize_cdf(np.array([0.5, 0.5 + 5e-5]))
+
     def test_batch_matches_single(self):
         pmfs = RNG.dirichlet(np.full(17, 0.7), size=25)
         batch = quantize_cdf_batch(pmfs)
         for i in range(25):
             np.testing.assert_array_equal(batch[i], quantize_cdf(pmfs[i]))
+
+
+B = C._CDF_BLOCK_ROWS
+
+
+class TestBlockedQuantize:
+    """quantize_cdf_batch works block by block; every row must equal quantize_cdf of that row alone."""
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    def test_rows_equal_per_row_quantization(self, rows):
+        rng = np.random.default_rng(rows)
+        pmfs = rng.dirichlet(np.full(1000, 0.3), size=rows)
+        # a uniform 1000-bin row rounds to 66 per bin, 464 over the total:
+        # too much for the largest bin, so it takes the largest-remainder path
+        fallback = [r for r in (0, B - 1, B, 2 * B - 1, 2 * B, rows - 1) if 0 <= r < rows]
+        pmfs[fallback] = 1e-3
+        batch = quantize_cdf_batch(pmfs)
+        assert batch.shape == (rows, 1001)
+        for r in range(rows):
+            np.testing.assert_array_equal(batch[r], quantize_cdf(pmfs[r]))
+        for r in fallback:
+            freqs = np.diff(batch[r])
+            assert freqs.max() - freqs.min() <= 1
+
+    def test_bad_row_in_a_later_block_rejected(self):
+        pmfs = np.full((2 * B + 3, 4), 0.25)
+        pmfs[B + 1, 0] = -0.1
+        with pytest.raises(ValueError, match="non-negative"):
+            quantize_cdf_batch(pmfs)
 
 
 class TestRoundTrip:

@@ -1,15 +1,18 @@
 """Distribution layer: closed-form spot checks, normalization, folding, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import lhgm.coder as C
 import lhgm.distributions as D
 import lhgm.tensor as T
 from lhgm.distributions import Alphabet, FactorizedPrior, MixtureParams
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import gaussian_bin_prob, phi, rel_err
+from oracles import gaussian_bin_prob, one_shot_mixture_pmf, phi, rel_err
 
 RNG = np.random.default_rng(7)
 
@@ -104,6 +107,77 @@ class TestOnePath:
         table = D.mixture_pmf(*params.flat(), alphabet)
         symbols = (v.reshape(-1) - alphabet.lo).astype(np.int64)
         assert np.array_equal(table[np.arange(symbols.size), symbols], got)
+
+
+def flat_mixture(rows, k=3, rng=None, lo=0, hi=255):
+    """Random flat [rows, K] mixture arrays with means past both alphabet edges and tiny to wide scales."""
+    rng = rng or np.random.default_rng(rows)
+    weights = rng.dirichlet(np.ones(k), size=rows)
+    span = hi - lo
+    means = rng.uniform(lo - 0.1 * span, hi + 0.1 * span, size=(rows, k))
+    scales = np.exp(rng.uniform(np.log(1e-6), np.log(2.0 * span), size=(rows, k)))
+    return weights, means, scales
+
+
+B = D._PMF_BLOCK_ROWS
+
+
+class TestBlockedTable:
+    """mixture_pmf fills its table block by block; rows must equal the one-shot formula bit for bit."""
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("alphabet", [D.PIXEL_ALPHABET, Alphabet(-7, 9)], ids=["pixel", "small"])
+    def test_rows_equal_one_shot_formula(self, rows, alphabet):
+        arrays = flat_mixture(rows, lo=alphabet.lo, hi=alphabet.hi)
+        got = D.mixture_pmf(*arrays, alphabet)
+        want = one_shot_mixture_pmf(*arrays, alphabet.lo, alphabet.hi)
+        assert got.shape == (rows, alphabet.size)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["weights", "means", "scales"])
+    @pytest.mark.parametrize("bad_shape", [(10, 1), (10,), (1, 10, 3)], ids=["column", "flat", "3d"])
+    def test_mismatched_shapes_rejected(self, which, bad_shape):
+        # [E, 1] weights against [E, 3] means would broadcast to rows summing to 3
+        arrays = list(flat_mixture(10))
+        arrays[which] = np.ones(bad_shape)
+        with pytest.raises(ValueError, match="one shape"):
+            D.mixture_pmf(*arrays, D.PIXEL_ALPHABET)
+
+
+def traced_peak(fn, *args):
+    """Result of fn(*args) and the tracemalloc peak, in bytes, above the memory held at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTablePathMemory:
+    """Scratch memory of the pmf and CDF builds does not grow with the image.
+
+    27648 rows are the sub-pixels of one 96x96 RGB image; the one-shot
+    build of this table peaked at 648 MB.
+    """
+
+    SCRATCH = 16 * 2**20
+
+    @pytest.fixture(scope="class")
+    def mixture(self):
+        return flat_mixture(96 * 96 * 3, rng=np.random.default_rng(5))
+
+    def test_mixture_pmf_peak(self, mixture):
+        table, peak = traced_peak(D.mixture_pmf, *mixture, D.PIXEL_ALPHABET)
+        assert table.shape == (96 * 96 * 3, 256)
+        assert peak <= table.nbytes + self.SCRATCH
+
+    def test_quantize_cdf_batch_peak(self, mixture):
+        table = D.mixture_pmf(*mixture, D.PIXEL_ALPHABET)
+        cdf, peak = traced_peak(C.quantize_cdf_batch, table)
+        assert peak <= cdf.nbytes + self.SCRATCH
 
 
 class TestNormalization:
@@ -238,11 +312,12 @@ class TestRateBits:
             Tensor(np.full((1, 1, 1, 1, 1), 50.0)),
             Tensor(np.full((1, 1, 1, 1, 1), 1e-6)),
         )
-        D.reset_floored()
-        bits = D.rate_bits(params, Tensor(np.full((1, 1, 1, 1), -50.0)), Alphabet(-51, 51))
+        hits = []
+        bits = D.rate_bits(params, Tensor(np.full((1, 1, 1, 1), -50.0)), Alphabet(-51, 51), floor_hits=hits)
         assert np.isfinite(bits.item())
         assert bits.item() == pytest.approx(64.0)
-        assert D.floored_count() == 1
+        assert hits == [1]
+        assert D.rate_bits(params, Tensor(np.full((1, 1, 1, 1), -50.0)), Alphabet(-51, 51)).item() == bits.item()
 
 
 class TestGradients:

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import lhgm.model as M
 import lhgm.train as TR
 from lhgm.errors import TrainingDivergedError
 from lhgm.model import ModelConfig
@@ -77,6 +78,22 @@ class TestSamplePatches:
                            rng=np.random.default_rng(0))
 
 
+class TestLoss:
+    def test_floor_hits_count_underflowed_probabilities(self):
+        w = M.init_weights(ModelConfig.tiny(), seed=9)
+        x = Tensor(np.random.default_rng(4).integers(0, 256, size=(1, 3, 32, 32)).astype(np.float64))
+        out = M.forward(x, w, "train", rng=np.random.default_rng(8))
+        config = TrainConfig()
+        base = TR.loss(out, x, 0, config)
+        # all three sub-pixels at (0, 0) become 0 while every component sits at 255 with a tiny scale
+        x.data[0, :, 0, 0] = 0.0
+        out.params_x.means.data[0, :, :, 0, 0] = 255.0
+        out.params_x.scales.data[0, :, :, 0, 0] = 1e-3
+        lb = TR.loss(out, x, 0, config)
+        assert lb.floor_hits == base.floor_hits + 3
+        assert lb.rate_y.item() == base.rate_y.item() and lb.rate_z.item() == base.rate_z.item()
+
+
 def tiny_run(seed=3):
     rng = np.random.default_rng(11)
     corpus = [rng.integers(0, 256, size=(40, 48, 3)).astype(np.float64) for _ in range(2)]
@@ -93,12 +110,13 @@ class TestTrainLoop:
         strip = [dataclasses.replace(r, wall_time=0.0) for r in rows1]
         assert strip == [dataclasses.replace(r, wall_time=0.0) for r in rows2]
         assert [r.lam for r in rows1] == [0.6, 0.6, 0.0]
+        assert all(type(r.floor_hits) is int for r in rows1)
         for r in rows1:
             assert r.total == pytest.approx(r.rate_x + r.rate_y + r.rate_z + r.lam * (r.l2_x + r.l2_y), rel=1e-12)
 
     def test_write_metrics_parses_back(self, tmp_path):
         rows = [MetricsRow(step=s, rate_x=1.5 + s, rate_y=0.25, rate_z=1 / 3, l2_x=0.1, l2_y=0.2, lam=0.6,
-                           total=2.0, wall_time=0.01 * s) for s in range(3)]
+                           total=2.0, floor_hits=s, wall_time=0.01 * s) for s in range(3)]
         path = tmp_path / "metrics.csv"
         write_metrics(rows, path)
         with open(path, newline="") as f:
