@@ -214,11 +214,6 @@ def decode(stream: EncodedStream, cdfs: CdfProvider, count: int) -> list[int]:
     return out
 
 
-def static_provider(cdf: np.ndarray) -> CdfProvider:
-    """Provider that codes every symbol with the same table."""
-    return lambda i, prev: cdf
-
-
 def table_provider(tables: Sequence[np.ndarray]) -> CdfProvider:
     """Provider backed by a precomputed per-symbol list of tables."""
     return lambda i, prev: tables[i]

@@ -12,6 +12,21 @@ path for coding (``mixture_pmf``) that agree bit for bit. A learnable
 monotone-network prior models the hyper-latent channels that have no
 conditioning.
 
+Both mixture paths evaluate each bin edge e once per component. With
+t = (e - mu) / sigma and q = Phi(-|t|), the signed tail of the edge is
+g = q where t <= 0 and g = -q where t > 0, so Phi(t) = g + [t > 0]. A
+bin between edges l and u then has mass g(u) - g(l) + [t(l) <= 0 < t(u)]:
+the indicator is 1 only for the one bin that straddles the mean. Phi is
+only ever evaluated on the lower tail, so a far-tail bin on either side
+of the mean is the difference of two small tails and keeps its relative
+precision down to the underflow of Phi near t = -38; Phi(t) itself near
+1 would round every bin mass below about 1e-16 above the mean to 0. The
+folded edge bins fall out of the same expression: the alphabet's outer
+edges are -inf and +inf, whose signed tails are 0, so the bin at lo is
+Phi(lo + 1/2) and the bin at hi is 1 - Phi(hi - 1/2), and a one-symbol
+alphabet gets mass 1. An alphabet of A symbols costs A + 1 edge
+evaluations per component, one Phi per edge.
+
 Memory contract of the table path: ``mixture_pmf`` fills its preallocated
 [elements, alphabet.size] result in fixed blocks of rows, so beyond the
 result itself it holds O(block * K * alphabet.size) scratch however many
@@ -101,29 +116,41 @@ def _fold_masks(values: np.ndarray, alphabet: Alphabet, shape) -> tuple[Tensor, 
     return Tensor(1.0 - lo - hi), Tensor(lo), Tensor(hi)
 
 
+def _signed_tail(edge: Tensor, params: MixtureParams, folded: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
+    """Signed tail g = c * Phi(c * t) of one bin edge per component, and the factor c.
+
+    c is +1 at or below the mean and -1 above it, so c * t = -|t|; it is 0
+    on folded edges, whose tail is the constant 0.
+    """
+    t = (edge - params.means) / params.scales
+    c = np.where(t.data > 0.0, -1.0, 1.0)
+    if folded is not None:
+        c[np.broadcast_to(folded, c.shape)] = 0.0
+    sign = Tensor(c)
+    return T.std_normal_cdf(t * sign) * sign, c
+
+
 def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | None = None) -> Tensor:
     """Differentiable mixture probability of integer-valued ``values``.
 
     ``values`` is [N, C, H, W]; the result matches that shape. With an
     alphabet the edge bins receive the folded tail mass. During training
     ``values`` may be the noisy continuous latents, in which case no
-    alphabet is passed and the plain CDF difference is evaluated.
+    alphabet is passed and the plain CDF difference is evaluated. The
+    expression is the one of the module docstring, so with an alphabet
+    every entry equals the ``mixture_pmf`` table entry bit for bit.
     """
     n, k, c, h, w = params.weights.shape
+    lo_fold = hi_fold = None
     if alphabet is not None:
         alphabet.check(values.data)
+        per_element = values.data.reshape(n, 1, c, h, w)
+        lo_fold, hi_fold = per_element == alphabet.lo, per_element == alphabet.hi
     v = T.broadcast_to(T.reshape(values, (n, 1, c, h, w)), (n, k, c, h, w))
-    d = T.absolute(v - params.means)
-    upper = T.std_normal_cdf((0.5 - d) / params.scales)
-    lower = T.std_normal_cdf((-0.5 - d) / params.scales)
-    per_comp = upper - lower
-    if alphabet is not None:
-        interior, lo_m, hi_m = _fold_masks(
-            values.data.reshape(n, 1, c, h, w), alphabet, (n, k, c, h, w)
-        )
-        lo_term = T.std_normal_cdf(((alphabet.lo + 0.5) - params.means) / params.scales)
-        hi_term = T.std_normal_cdf((params.means - (alphabet.hi - 0.5)) / params.scales)
-        per_comp = per_comp * interior + lo_term * lo_m + hi_term * hi_m
+    g_upper, c_upper = _signed_tail(v + 0.5, params, hi_fold)
+    g_lower, c_lower = _signed_tail(v - 0.5, params, lo_fold)
+    straddle = Tensor(((c_lower >= 0.0) & (c_upper <= 0.0)).astype(np.float64))
+    per_comp = g_upper - g_lower + straddle
     return T.reduce_sum(params.weights * per_comp, axis=1)
 
 
@@ -133,21 +160,26 @@ def mixture_mean(params: MixtureParams) -> Tensor:
 
 
 def mixture_pmf(weights: np.ndarray, means: np.ndarray, scales: np.ndarray, alphabet: Alphabet) -> np.ndarray:
-    """PMF table [elements, alphabet.size] from flat [elements, K] arrays, built in row blocks."""
+    """PMF table [elements, alphabet.size] from flat [elements, K] arrays, built in row blocks.
+
+    Each block evaluates the alphabet.size + 1 bin edges once per
+    component (see the module docstring).
+    """
     if weights.ndim != 2 or not weights.shape == means.shape == scales.shape:
         raise ValueError(
             f"weights, means and scales must be 2-d [elements, K] of one shape, "
             f"got {weights.shape}, {means.shape} and {scales.shape}"
         )
-    v = alphabet.values()[None, None, :]  # [1, 1, A]
+    edges = np.concatenate(([-np.inf], np.arange(alphabet.lo, alphabet.hi) + 0.5, [np.inf]))
     out = np.empty((weights.shape[0], alphabet.size))
     for start in range(0, weights.shape[0], _PMF_BLOCK_ROWS):
         rows = slice(start, start + _PMF_BLOCK_ROWS)
-        m, s = means[rows], scales[rows]
-        d = np.abs(v - m[:, :, None])
-        p = ndtr((0.5 - d) / s[:, :, None]) - ndtr((-0.5 - d) / s[:, :, None])
-        p[:, :, 0] = ndtr(((alphabet.lo + 0.5) - m) / s)
-        p[:, :, -1] = ndtr((m - (alphabet.hi - 0.5)) / s)
+        t = (edges - means[rows, :, None]) / scales[rows, :, None]  # [block, K, A + 1]
+        above = t > 0.0
+        g = ndtr(-np.abs(t))
+        np.negative(g, out=g, where=above)
+        p = g[:, :, 1:] - g[:, :, :-1]
+        p += above[:, :, 1:] > above[:, :, :-1]
         np.sum(weights[rows, :, None] * p, axis=1, out=out[rows])
     return out
 

@@ -308,8 +308,8 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    # log(1 + e^x) computed without overflow for large |x|
-    data = np.logaddexp(0.0, x.data)
+    # log(1 + e^x) = max(x, 0) + log1p(e^-|x|); exp never sees a positive argument
+    data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
 
     def bwd(g):
         if x.requires_grad:

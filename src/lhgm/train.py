@@ -137,6 +137,11 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
+def global_norm(grads: dict[str, np.ndarray]) -> float:
+    """L2 norm of all gradients taken as one vector; non-finite if any entry is."""
+    return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values() if g is not None)))
+
+
 def sample_patches(corpus, patch: int, batch: int, rng: np.random.Generator) -> Tensor:
     """Uniform random crops as a [batch, 3, patch, patch] tensor of raw pixels."""
     eligible = []
@@ -171,6 +176,8 @@ class MetricsRow:
     lam: float
     total: float
     floor_hits: int
+    skipped: int  # optimizer steps skipped so far for a non-finite gradient (AdamState.skipped)
+    grad_norm: float  # global L2 norm of this step's gradients
     wall_time: float
 
     def csv_line(self) -> str:
@@ -242,7 +249,8 @@ def train_loop(
         if (step % config.log_every == 0) or step == config.steps - 1:
             losses = {f.name: getattr(lb, f.name) for f in fields(lb)}
             losses = {k: v.item() if isinstance(v, Tensor) else v for k, v in losses.items()}
-            metrics.append(MetricsRow(step=step, wall_time=time.monotonic() - start, **losses))
+            metrics.append(MetricsRow(step=step, skipped=state.skipped, grad_norm=global_norm(grads),
+                                      wall_time=time.monotonic() - start, **losses))
 
     if state.skipped:
         log.warning("training finished with %d skipped steps", state.skipped)

@@ -88,29 +88,37 @@ def phi(x):
 
 
 def gaussian_bin_prob(v, mu, sigma, lo=None, hi=None):
-    """Discretized Gaussian probability of integer v with optional edge folding."""
-    vm = mpmath.mpf(v)
-    mu = mpmath.mpf(mu)
-    sigma = mpmath.mpf(sigma)
-    upper = mpmath.mpf(1) if (hi is not None and v == hi) else mpmath.ncdf((vm + mpmath.mpf("0.5") - mu) / sigma)
-    lower = mpmath.mpf(0) if (lo is not None and v == lo) else mpmath.ncdf((vm - mpmath.mpf("0.5") - mu) / sigma)
-    return float(upper - lower)
+    """Discretized Gaussian probability of integer v with optional edge folding.
+
+    Evaluated at 400 digits, so the difference of two CDF values near 1
+    keeps full float64 precision for masses down to the subnormal range.
+    """
+    with mpmath.workdps(400):
+        vm = mpmath.mpf(v)
+        mu = mpmath.mpf(mu)
+        sigma = mpmath.mpf(sigma)
+        upper = mpmath.mpf(1) if (hi is not None and v == hi) else mpmath.ncdf((vm + mpmath.mpf("0.5") - mu) / sigma)
+        lower = mpmath.mpf(0) if (lo is not None and v == lo) else mpmath.ncdf((vm - mpmath.mpf("0.5") - mu) / sigma)
+        return float(upper - lower)
 
 
 def one_shot_mixture_pmf(weights, means, scales, lo, hi):
     """Discretized Gaussian mixture table [elements, hi - lo + 1] in one shot.
 
-    The whole [elements, K, A] component table is built at once, with the
-    same float64 expressions in the same order as the coding path, so a
-    row-blocked implementation must match it bit for bit.
+    The whole [elements, K, A + 1] edge table is built at once. Edge e has
+    t = (e - mu) / sigma and signed tail g = Phi(-|t|) at or below the mean,
+    -Phi(-|t|) above it; the outer edges are -inf and +inf. A bin is
+    g(upper) - g(lower), plus 1 where the lower edge is at or below the
+    mean and the upper edge above it. These are the float64 expressions of
+    the coding path in the same order, so a row-blocked implementation must
+    match it bit for bit.
     """
-    v = np.arange(lo, hi + 1, dtype=np.float64)[None, None, :]
-    mu = means[:, :, None]
-    s = scales[:, :, None]
-    d = np.abs(v - mu)
-    p = ndtr((0.5 - d) / s) - ndtr((-0.5 - d) / s)
-    p[:, :, 0] = ndtr(((lo + 0.5) - means) / scales)
-    p[:, :, -1] = ndtr((means - (hi - 0.5)) / scales)
+    e = np.concatenate(([-np.inf], np.arange(lo, hi) + 0.5, [np.inf]))[None, None, :]
+    t = (e - means[:, :, None]) / scales[:, :, None]
+    q = ndtr(-np.abs(t))
+    g = np.where(t > 0, -q, q)
+    straddle = (t[:, :, :-1] <= 0) & (t[:, :, 1:] > 0)
+    p = (g[:, :, 1:] - g[:, :, :-1]) + straddle.astype(np.float64)
     return np.sum(weights[:, :, None] * p, axis=1)
 
 

@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lhgm.coder as C
-from lhgm.coder import EncodedStream, decode, encode, quantize_cdf, quantize_cdf_batch, static_provider, table_provider
+from lhgm.coder import EncodedStream, decode, encode, quantize_cdf, quantize_cdf_batch, table_provider
 from lhgm.errors import CorruptStreamError
 
 RNG = np.random.default_rng(99)
+
+
+def one_table(cdf):
+    """Provider that codes every symbol with the same table."""
+    return lambda i, prev: cdf
 
 
 def random_cdf(rng, n):
@@ -111,24 +116,24 @@ class TestBlockedQuantize:
 class TestRoundTrip:
     def test_empty_sequence(self):
         cdf = quantize_cdf(np.array([0.5, 0.5]))
-        stream = encode([], static_provider(cdf))
+        stream = encode([], one_table(cdf))
         assert len(stream.payload) <= 32
-        assert decode(stream, static_provider(cdf), 0) == []
+        assert decode(stream, one_table(cdf), 0) == []
 
     def test_uniform_256_length_bound(self):
         cdf = quantize_cdf(np.full(256, 1.0 / 256.0))
         symbols = RNG.integers(0, 256, size=10_000).tolist()
-        stream = encode(symbols, static_provider(cdf))
+        stream = encode(symbols, one_table(cdf))
         assert 10_000 <= len(stream.payload) <= 10_032
-        assert decode(stream, static_provider(cdf), 10_000) == symbols
+        assert decode(stream, one_table(cdf), 10_000) == symbols
 
     def test_high_probability_symbols_compress_hard(self):
         pmf = np.array([0.999, 0.0005, 0.0003, 0.0002])
         cdf = quantize_cdf(pmf)
         symbols = [0] * 10_000
-        stream = encode(symbols, static_provider(cdf))
+        stream = encode(symbols, one_table(cdf))
         assert len(stream.payload) < 100
-        assert decode(stream, static_provider(cdf), 10_000) == symbols
+        assert decode(stream, one_table(cdf), 10_000) == symbols
 
     def test_adaptive_provider_round_trip(self):
         # CDF switches as a function of the previous symbol
@@ -164,8 +169,8 @@ class TestRoundTrip:
         pmf /= pmf.sum()
         cdf = quantize_cdf(pmf)
         symbols = data.draw(st.lists(st.integers(0, n - 1), max_size=200))
-        stream = encode(symbols, static_provider(cdf))
-        assert decode(stream, static_provider(cdf), len(symbols)) == symbols
+        stream = encode(symbols, one_table(cdf))
+        assert decode(stream, one_table(cdf), len(symbols)) == symbols
 
     def test_overhead_bound_on_random_cdfs(self):
         rng = np.random.default_rng(5)
@@ -186,33 +191,33 @@ class TestIntegrity:
     def test_tampered_byte_detected(self):
         cdf = quantize_cdf(np.full(16, 1.0 / 16.0))
         symbols = RNG.integers(0, 16, size=500).tolist()
-        stream = encode(symbols, static_provider(cdf))
+        stream = encode(symbols, one_table(cdf))
         for pos in range(0, len(stream.payload), 97):
             tampered = bytearray(stream.payload)
             tampered[pos] ^= 0x40
             with pytest.raises(CorruptStreamError):
-                decode(EncodedStream(bytes(tampered), stream.count), static_provider(cdf), 500)
+                decode(EncodedStream(bytes(tampered), stream.count), one_table(cdf), 500)
 
     def test_truncated_stream_detected(self):
         cdf = quantize_cdf(np.full(16, 1.0 / 16.0))
         symbols = RNG.integers(0, 16, size=200).tolist()
-        stream = encode(symbols, static_provider(cdf))
+        stream = encode(symbols, one_table(cdf))
         for cut in (0, 5, len(stream.payload) // 2, len(stream.payload) - 1):
             with pytest.raises(CorruptStreamError):
-                decode(EncodedStream(stream.payload[:cut], stream.count), static_provider(cdf), 200)
+                decode(EncodedStream(stream.payload[:cut], stream.count), one_table(cdf), 200)
 
     def test_wrong_cdf_detected(self):
         cdf_a = quantize_cdf(np.array([0.7, 0.1, 0.1, 0.1]))
         cdf_b = quantize_cdf(np.array([0.1, 0.1, 0.1, 0.7]))
         symbols = RNG.integers(0, 4, size=300).tolist()
-        stream = encode(symbols, static_provider(cdf_a))
+        stream = encode(symbols, one_table(cdf_a))
         with pytest.raises(CorruptStreamError):
-            decode(stream, static_provider(cdf_b), 300)
+            decode(stream, one_table(cdf_b), 300)
 
     def test_out_of_alphabet_symbol_rejected_at_encode(self):
         cdf = quantize_cdf(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="outside"):
-            encode([3], static_provider(cdf))
+            encode([3], one_table(cdf))
 
 
 class TestGoldenStream:
@@ -221,9 +226,9 @@ class TestGoldenStream:
     def test_golden_bytes(self):
         cdf = quantize_cdf(np.array([0.125, 0.25, 0.5, 0.125]))
         symbols = [2, 2, 1, 0, 3, 2, 1, 2, 2, 0]
-        stream = encode(symbols, static_provider(cdf))
+        stream = encode(symbols, one_table(cdf))
         assert stream.payload.hex() == GOLDEN_HEX
-        assert decode(stream, static_provider(cdf), len(symbols)) == symbols
+        assert decode(stream, one_table(cdf), len(symbols)) == symbols
 
 
 # Frozen from the first verified build of the coder on this platform.

@@ -95,7 +95,10 @@ class TestOnePath:
     mixture_prob returns for it.
     """
 
-    @pytest.mark.parametrize("alphabet,center,spread", [(D.PIXEL_ALPHABET, 127.5, 90.0), (Alphabet(-20, 20), 0.0, 8.0)])
+    @pytest.mark.parametrize(
+        "alphabet,center,spread",
+        [(D.PIXEL_ALPHABET, 127.5, 90.0), (Alphabet(-20, 20), 0.0, 8.0), (Alphabet(3, 3), 3.0, 2.0)],
+    )
     def test_table_entry_equals_mixture_prob(self, alphabet, center, spread):
         rng = np.random.default_rng(21)
         params, _ = make_params(n=2, k=3, c=3, h=4, w=5, rng=rng, mu_scale=spread / 3)
@@ -107,6 +110,40 @@ class TestOnePath:
         table = D.mixture_pmf(*params.flat(), alphabet)
         symbols = (v.reshape(-1) - alphabet.lo).astype(np.int64)
         assert np.array_equal(table[np.arange(symbols.size), symbols], got)
+
+
+class TestTableAccuracy:
+    """Table rows against the 400-digit oracle: far tails, the bin at the mean, both folded edges."""
+
+    # (mean, scale, bins): each row's bins cover the left fold, the far left
+    # tail, the bin that straddles the mean and its neighbours, the far
+    # right tail and the right fold. Means and scales are dyadic, so every
+    # t = (e - mean) / scale is exact. A rounded t alone would move Phi(t)
+    # by a relative t^2 * 1e-16, about 1e-13 at t = -32: an error of the
+    # inputs that no table expression can remove.
+    CASES = [
+        (127.25, 4.0, [0, 1, 30, 90, 110, 126, 127, 128, 150, 200, 240, 254, 255]),
+        (127.5, 0.25, [120, 126, 127, 128, 129, 135]),
+        (2.25, 0.5, [0, 1, 2, 3, 4, 15, 255]),
+        (253.625, 1.0, [0, 200, 220, 252, 253, 254, 255]),
+        (60.0, 16.0, [0, 1, 59, 60, 61, 200, 254, 255]),
+        (-30.0, 8.0, [0, 1, 2, 100, 255]),
+        (290.0, 8.0, [0, 150, 253, 254, 255]),
+    ]
+
+    @pytest.mark.parametrize("mu,scale,bins", CASES)
+    def test_rows_match_high_precision_oracle(self, mu, scale, bins):
+        a = D.PIXEL_ALPHABET
+        row = D.mixture_pmf(np.ones((1, 1)), np.full((1, 1), mu), np.full((1, 1), scale), a)[0]
+        for v in bins:
+            want = gaussian_bin_prob(v, mu, scale, lo=a.lo, hi=a.hi)
+            if want > 1e-280:
+                # scipy's ndtr alone is off by a relative 1.1e-13 at
+                # t = -31.5625 (mass 6e-219), so the deep tail gets 2.5e-13
+                tol = 1e-13 if want > 1e-200 else 2.5e-13
+                assert abs(row[v] - want) / want < tol, (v, row[v], want)
+            else:
+                assert row[v] <= 1e-280, (v, row[v], want)
 
 
 def flat_mixture(rows, k=3, rng=None, lo=0, hi=255):
@@ -185,6 +222,11 @@ class TestNormalization:
         params, _ = make_params(k=3, h=3, w=3)
         table = D.mixture_pmf(*params.flat(), WIDE)
         np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("mu,scale", [(3.0, 1.0), (-40.0, 0.5), (250.0, 30.0)])
+    def test_one_symbol_alphabet_holds_all_mass(self, mu, scale):
+        # both folds land on the one bin
+        assert both_paths(mu, scale, 3, Alphabet(3, 3)) == (1.0, 1.0)
 
     def test_monotone_cdf_differences(self):
         params, _ = make_params(k=3, h=4, w=5, mu_scale=20.0)
@@ -322,11 +364,22 @@ class TestRateBits:
 
 class TestGradients:
     def test_mixture_prob_gradients(self):
+        self.check_mixture_prob_gradients(WIDE, RNG)
+
+    def test_mixture_prob_gradients_of_noisy_values(self):
+        # without an alphabet the values are noisy latents and take a gradient too
+        self.check_mixture_prob_gradients(None, np.random.default_rng(31))
+
+    @staticmethod
+    def check_mixture_prob_gradients(alphabet, rng):
         from oracles import central_difference_grad
 
-        raws = [RNG.normal(size=(1, 2, 1, 2, 2)), RNG.normal(size=(1, 2, 1, 2, 2)) * 2, RNG.normal(size=(1, 2, 1, 2, 2))]
-        v = np.round(RNG.normal(size=(1, 1, 2, 2)) * 2)
-        weights = RNG.normal(size=(1, 1, 2, 2))
+        raws = [rng.normal(size=(1, 2, 1, 2, 2)), rng.normal(size=(1, 2, 1, 2, 2)) * 2, rng.normal(size=(1, 2, 1, 2, 2))]
+        v = np.round(rng.normal(size=(1, 1, 2, 2)) * 2)
+        if alphabet is None:
+            v += rng.uniform(-0.5, 0.5, size=v.shape)
+        arrays = raws + [v]
+        weights = rng.normal(size=(1, 1, 2, 2))
 
         def build(logits, raw_mu, raw_s):
             return MixtureParams(
@@ -335,19 +388,20 @@ class TestGradients:
                 scales=T.softplus(raw_s) + D.SIGMA_MIN,
             )
 
-        tensors = [Tensor(r.copy(), requires_grad=True) for r in raws]
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        tensors[3].requires_grad = alphabet is None
         with GradTape():
-            p = D.mixture_prob(build(*tensors), Tensor(v), WIDE)
+            p = D.mixture_prob(build(*tensors[:3]), tensors[3], alphabet)
             T.backward(T.reduce_sum(p * Tensor(weights)))
 
-        for i in range(3):
+        for i in range(4 if alphabet is None else 3):
 
             def scalar(x, i=i):
-                args = [Tensor(r) for r in raws]
+                args = [Tensor(a) for a in arrays]
                 args[i] = Tensor(x)
-                return float((D.mixture_prob(build(*args), Tensor(v), WIDE).data * weights).sum())
+                return float((D.mixture_prob(build(*args[:3]), args[3], alphabet).data * weights).sum())
 
-            fd = central_difference_grad(scalar, raws[i].copy())
+            fd = central_difference_grad(scalar, arrays[i].copy())
             assert rel_err(tensors[i].grad, fd, floor=1e-6) < 1e-4
 
     def test_factorized_prior_gradients(self):

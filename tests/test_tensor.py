@@ -1,5 +1,8 @@
 """Tensor engine: op semantics, naive-loop conv oracle, and gradient checks."""
 
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -186,6 +189,25 @@ class TestStdNormalCdf:
         # monotone saturation outside the accurate range
         wide = T.std_normal_cdf(Tensor(np.array([-40.0, -9.0, 9.0, 40.0]))).data
         assert wide[0] <= wide[1] <= wide[2] <= wide[3]
+
+
+def ulps_apart(a: float, b: float) -> int:
+    """Distance in units in the last place between two non-negative finite floats."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+class TestSoftplus:
+    @pytest.mark.parametrize("x", [-745.0, -40.0, -1e-3, 0.0, 1e-3, 40.0, 710.0, 1e5])
+    def test_within_two_ulp_of_high_precision_oracle(self, x):
+        want = float(mpmath.log1p(mpmath.exp(mpmath.mpf(x))))
+        got = T.softplus(Tensor(np.array(x))).item()
+        assert ulps_apart(got, want) <= 2, (got, want)
+
+    def test_infinities_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = T.softplus(Tensor(np.array([-np.inf, np.inf]))).data
+        assert got[0] == 0.0 and got[1] == np.inf
 
 
 class TestBackward:

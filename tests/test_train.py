@@ -111,12 +111,15 @@ class TestTrainLoop:
         assert strip == [dataclasses.replace(r, wall_time=0.0) for r in rows2]
         assert [r.lam for r in rows1] == [0.6, 0.6, 0.0]
         assert all(type(r.floor_hits) is int for r in rows1)
+        assert [r.skipped for r in rows1] == [0, 0, 0]
+        assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0 for r in rows1)
         for r in rows1:
             assert r.total == pytest.approx(r.rate_x + r.rate_y + r.rate_z + r.lam * (r.l2_x + r.l2_y), rel=1e-12)
 
     def test_write_metrics_parses_back(self, tmp_path):
         rows = [MetricsRow(step=s, rate_x=1.5 + s, rate_y=0.25, rate_z=1 / 3, l2_x=0.1, l2_y=0.2, lam=0.6,
-                           total=2.0, floor_hits=s, wall_time=0.01 * s) for s in range(3)]
+                           total=2.0, floor_hits=s, skipped=2 * s, grad_norm=1e3 / 7 + s, wall_time=0.01 * s)
+                for s in range(3)]
         path = tmp_path / "metrics.csv"
         write_metrics(rows, path)
         with open(path, newline="") as f:
@@ -126,6 +129,32 @@ class TestTrainLoop:
         for row, line in zip(rows, table[1:]):
             assert int(line[0]) == row.step
             assert [float(v) for v in line[1:]] == [getattr(row, f.name) for f in dataclasses.fields(row)][1:]
+
+
+class TestTrainingObservability:
+    def test_global_norm_is_the_norm_of_all_gradients_as_one_vector(self):
+        grads = {"a": np.array([[3.0, 0.0]]), "b": np.array(4.0), "c": None, "d": np.full(3, 12.0)}
+        assert TR.global_norm(grads) == pytest.approx(np.sqrt(9 + 16 + 3 * 144), rel=1e-15)
+
+    def test_non_finite_gradient_counts_a_skipped_step(self, monkeypatch):
+        real_backward = TR.T.backward
+
+        def backward_with_nan_at_step_one(loss):
+            real_backward(loss)
+            calls.append(None)
+            if len(calls) == 2:
+                weights["ga0.w"].grad[0, 0, 0, 0] = np.nan
+
+        calls = []
+        weights = M.init_weights(ModelConfig.tiny(), seed=5)
+        monkeypatch.setattr(TR.T, "backward", backward_with_nan_at_step_one)
+        rng = np.random.default_rng(11)
+        corpus = [rng.integers(0, 256, size=(40, 48, 3)).astype(np.float64) for _ in range(2)]
+        config = TrainConfig(steps=3, warmup_steps=2, batch=2, patch=32, seed=3, log_every=1)
+        _, rows = train_loop(config, corpus, weights=weights)
+        assert [r.skipped for r in rows] == [0, 1, 1]
+        assert np.isnan(rows[1].grad_norm)
+        assert np.isfinite(rows[0].grad_norm) and np.isfinite(rows[2].grad_norm)
 
 
 def smooth_corpus(seed, count=4, size=32):
