@@ -54,11 +54,6 @@ class EncodedStream:
     count: int
 
 
-def quantize_cdf(pmf: np.ndarray) -> np.ndarray:
-    """Quantize one pmf to an exact-total-2^16 cumulative table."""
-    return quantize_cdf_batch(np.asarray(pmf, dtype=np.float64)[None, :])[0]
-
-
 def quantize_cdf_batch(pmfs: np.ndarray) -> np.ndarray:
     """Row-wise pmf quantization; returns int64 cumulatives [rows, n+1].
 
@@ -73,8 +68,8 @@ def quantize_cdf_batch(pmfs: np.ndarray) -> np.ndarray:
     if pmfs.ndim != 2:
         raise ValueError("expected 2-d array of pmf rows")
     n = pmfs.shape[1]
-    if n < 2 or n > TOTAL:
-        raise ValueError(f"pmf length must be in [2, {TOTAL}], got {n}")
+    if n < 1 or n > TOTAL:
+        raise ValueError(f"pmf length must be in [1, {TOTAL}], got {n}")
     cdf = np.zeros((pmfs.shape[0], n + 1), dtype=np.int64)
     for start in range(0, pmfs.shape[0], _CDF_BLOCK_ROWS):
         rows = slice(start, start + _CDF_BLOCK_ROWS)

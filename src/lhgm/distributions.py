@@ -96,11 +96,6 @@ class MixtureParams:
     def K(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def plane_shape(self) -> tuple[int, ...]:
-        n, _, c, h, w = self.weights.shape
-        return (n, c, h, w)
-
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Numpy views reordered to [elements, K] in N,C,H,W raster order."""
 
@@ -108,12 +103,6 @@ class MixtureParams:
             return np.ascontiguousarray(t.data.transpose(0, 2, 3, 4, 1)).reshape(-1, self.K)
 
         return rearrange(self.weights), rearrange(self.means), rearrange(self.scales)
-
-
-def _fold_masks(values: np.ndarray, alphabet: Alphabet, shape) -> tuple[Tensor, Tensor, Tensor]:
-    lo = np.broadcast_to((values == alphabet.lo).astype(np.float64), shape).copy()
-    hi = np.broadcast_to((values == alphabet.hi).astype(np.float64), shape).copy()
-    return Tensor(1.0 - lo - hi), Tensor(lo), Tensor(hi)
 
 
 def _signed_tail(edge: Tensor, params: MixtureParams, folded: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
@@ -244,16 +233,21 @@ class FactorizedPrior:
         return T.sigmoid(self.logits(t))
 
     def prob(self, values: Tensor, alphabet: Alphabet | None = None) -> Tensor:
-        """Bin probability of integer-valued ``values`` [channels, M]."""
+        """Bin probability of integer-valued ``values`` [channels, M].
+
+        With an alphabet the tails fold as in the mixtures: the lower edge
+        of lo is -inf (cumulative 0) and the upper edge of hi is +inf
+        (cumulative 1).
+        """
         if alphabet is not None:
             alphabet.check(values.data)
         upper = self.cumulative(values + 0.5)
         lower = self.cumulative(values - 0.5)
-        p = upper - lower
         if alphabet is not None:
-            interior, lo_m, hi_m = _fold_masks(values.data, alphabet, values.shape)
-            p = p * interior + upper * lo_m + (1.0 - lower) * hi_m
-        return p
+            at_hi = (values.data == alphabet.hi).astype(np.float64)
+            upper = upper * Tensor(1.0 - at_hi) + Tensor(at_hi)
+            lower = lower * Tensor((values.data != alphabet.lo).astype(np.float64))
+        return upper - lower
 
     def pmf(self, alphabet: Alphabet) -> np.ndarray:
         """Per-channel PMF table [channels, alphabet.size]."""

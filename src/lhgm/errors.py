@@ -2,7 +2,7 @@
 
 
 class CodecError(Exception):
-    """Base class for data and integrity failures (CLI exit code 2)."""
+    """Base class for data and integrity failures of a coded stream or container."""
 
 
 class CorruptStreamError(CodecError):

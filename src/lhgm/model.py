@@ -289,7 +289,7 @@ def split_mixture(raw: Tensor, k: int, c: int, pixel: bool) -> MixtureParams:
 
 def _check_divisible(h: int, w: int, factor: int, where: str) -> None:
     if h % factor or w % factor:
-        raise ValueError(f"{where}: spatial dims {h}x{w} not divisible by {factor} (codec pads inputs)")
+        raise ValueError(f"{where}: spatial dims {h}x{w} not divisible by {factor} (inputs are not padded)")
 
 
 def analysis(x: Tensor, w: ModelWeights) -> Tensor:

@@ -24,7 +24,6 @@ __all__ = [
     "div",
     "neg",
     "log",
-    "absolute",
     "clamp",
     "leaky_relu",
     "softplus",
@@ -76,9 +75,15 @@ class Tensor:
         raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient; the first ``g`` is stored as a C-order copy.
+
+        Backward closures may therefore pass views of their output's
+        gradient or read-only broadcasts: no two tensors share a buffer.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -267,25 +272,11 @@ def log(x: Tensor) -> Tensor:
     return _make_out(data, (x,), bwd)
 
 
-def absolute(x: Tensor) -> Tensor:
+def clamp(x: Tensor, lo: float) -> Tensor:
+    """max(x, lo); the gradient passes where x >= lo."""
     x = as_tensor(x)
-    data = np.abs(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * np.sign(x.data))
-
-    return _make_out(data, (x,), bwd)
-
-
-def clamp(x: Tensor, lo: float | None = None, hi: float | None = None) -> Tensor:
-    x = as_tensor(x)
-    data = np.clip(x.data, lo, hi)
-    inside = np.ones_like(x.data, dtype=bool)
-    if lo is not None:
-        inside &= x.data >= lo
-    if hi is not None:
-        inside &= x.data <= hi
+    data = np.maximum(x.data, lo)
+    inside = x.data >= lo
 
     def bwd(g):
         if x.requires_grad:
@@ -358,17 +349,13 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     return _make_out(data, (x,), bwd)
 
 
-def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     x = as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def bwd(g):
         if x.requires_grad:
-            if axis is None:
-                x.accumulate_grad(np.broadcast_to(g, x.shape).copy())
-            else:
-                ge = g if keepdims else np.expand_dims(g, axis)
-                x.accumulate_grad(np.broadcast_to(ge, x.shape).copy())
+            x.accumulate_grad(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape))
 
     return _make_out(data, (x,), bwd)
 
@@ -421,10 +408,10 @@ def permute(x: Tensor, axes) -> Tensor:
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
-    """Explicit broadcast; gradient sums over the expanded axes."""
+    """Explicit broadcast, a read-only view; gradient sums over the expanded axes."""
     x = as_tensor(x)
     shape = tuple(shape)
-    data = np.broadcast_to(x.data, shape).copy()
+    data = np.broadcast_to(x.data, shape)
 
     def bwd(g):
         if x.requires_grad:
@@ -440,12 +427,12 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis."""
+    """Contiguous slice along one axis, a view."""
     x = as_tensor(x)
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
-    data = x.data[idx].copy()
+    data = x.data[idx]
 
     def bwd(g):
         if x.requires_grad:

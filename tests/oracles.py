@@ -122,6 +122,21 @@ def one_shot_mixture_pmf(weights, means, scales, lo, hi):
     return np.sum(weights[:, :, None] * p, axis=1)
 
 
+def blend_folded_prob(upper, lower, values, lo, hi):
+    """Bin mass with the tails folded by masks, from the cumulatives at v + 1/2 and v - 1/2.
+
+    Interior bins take upper - lower, the bin at lo takes upper and the bin
+    at hi takes 1 - lower, blended in float64 as
+    (upper - lower) * interior + upper * at_lo + (1 - lower) * at_hi.
+    Unless lo == hi, all but one term of the blend are exact zeros, so it
+    equals folding by edge cumulatives 0 and 1 bit for bit; with lo == hi
+    the interior weight is -1 and the sum can round below 1.
+    """
+    at_lo = (values == lo).astype(np.float64)
+    at_hi = (values == hi).astype(np.float64)
+    return (upper - lower) * (1.0 - at_lo - at_hi) + upper * at_lo + (1.0 - lower) * at_hi
+
+
 def adam_recursion(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Hand-rolled Adam on one scalar parameter starting at 0; returns values."""
     m = 0.0

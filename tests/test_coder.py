@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lhgm.coder as C
-from lhgm.coder import EncodedStream, decode, encode, quantize_cdf, quantize_cdf_batch, table_provider
+from lhgm.coder import EncodedStream, decode, encode, quantize_cdf_batch, table_provider
 from lhgm.errors import CorruptStreamError
 
 RNG = np.random.default_rng(99)
+
+
+def row_cdf(pmf):
+    """Quantized cumulative table of one pmf row."""
+    return quantize_cdf_batch(np.asarray(pmf, dtype=np.float64)[None])[0]
 
 
 def one_table(cdf):
@@ -19,7 +24,7 @@ def one_table(cdf):
 
 def random_cdf(rng, n):
     pmf = rng.dirichlet(np.full(n, 0.5))
-    return quantize_cdf(pmf)
+    return row_cdf(pmf)
 
 
 def quantized_cross_entropy_bits(symbols, cdf_list):
@@ -32,10 +37,10 @@ def quantized_cross_entropy_bits(symbols, cdf_list):
 
 class TestQuantizeCdf:
     def test_even_split(self):
-        np.testing.assert_array_equal(quantize_cdf(np.array([0.5, 0.5])), [0, 32768, 65536])
+        np.testing.assert_array_equal(row_cdf(np.array([0.5, 0.5])), [0, 32768, 65536])
 
     def test_zero_symbol_floored(self):
-        np.testing.assert_array_equal(quantize_cdf(np.array([1.0, 0.0])), [0, 65535, 65536])
+        np.testing.assert_array_equal(row_cdf(np.array([1.0, 0.0])), [0, 65535, 65536])
 
     def test_total_and_monotonicity_random(self):
         for n in (2, 5, 256, 1000):
@@ -46,7 +51,7 @@ class TestQuantizeCdf:
     def test_uniform_wide_row_uses_fallback(self):
         # rint rounds 65536/1000 = 65.536 up for every bin; the residual is
         # too large for the argmax fixup, exercising largest-remainder
-        cdf = quantize_cdf(np.full(1000, 1e-3))
+        cdf = row_cdf(np.full(1000, 1e-3))
         assert cdf[-1] == C.TOTAL
         assert (np.diff(cdf) >= 1).all()
         freqs = np.diff(cdf)
@@ -56,39 +61,40 @@ class TestQuantizeCdf:
         # expected code length under the pmf vs its entropy, per symbol
         for _ in range(10):
             pmf = RNG.dirichlet(np.full(256, 1.0))
-            cdf = quantize_cdf(pmf)
+            cdf = row_cdf(pmf)
             entropy = -(pmf * np.log2(pmf)).sum()
             expected_len = -(pmf * np.log2(np.diff(cdf) / C.TOTAL)).sum()
             assert abs(expected_len - entropy) < 0.01  # bits per symbol
 
     def test_length_bounds_rejected(self):
+        np.testing.assert_array_equal(row_cdf(np.array([1.0])), [0, C.TOTAL])
         with pytest.raises(ValueError):
-            quantize_cdf(np.array([1.0]))
+            quantize_cdf_batch(np.ones((1, 0)))
         with pytest.raises(ValueError):
             quantize_cdf_batch(np.full((1, C.TOTAL + 1), 1.0 / (C.TOTAL + 1)))
 
     def test_bad_sum_rejected(self):
         with pytest.raises(ValueError, match="sum"):
-            quantize_cdf(np.array([0.5, 0.2]))
+            row_cdf(np.array([0.5, 0.2]))
 
     def test_sum_tolerance_is_the_one_named(self):
         assert C.SUM_TOLERANCE == 1e-5
-        np.testing.assert_array_equal(quantize_cdf(np.array([0.5, 0.5 + 5e-6]))[-1], C.TOTAL)
+        np.testing.assert_array_equal(row_cdf(np.array([0.5, 0.5 + 5e-6]))[-1], C.TOTAL)
         with pytest.raises(ValueError, match="within 1e-05"):
-            quantize_cdf(np.array([0.5, 0.5 + 5e-5]))
+            row_cdf(np.array([0.5, 0.5 + 5e-5]))
 
     def test_batch_matches_single(self):
         pmfs = RNG.dirichlet(np.full(17, 0.7), size=25)
         batch = quantize_cdf_batch(pmfs)
         for i in range(25):
-            np.testing.assert_array_equal(batch[i], quantize_cdf(pmfs[i]))
+            np.testing.assert_array_equal(batch[i], row_cdf(pmfs[i]))
 
 
 B = C._CDF_BLOCK_ROWS
 
 
 class TestBlockedQuantize:
-    """quantize_cdf_batch works block by block; every row must equal quantize_cdf of that row alone."""
+    """quantize_cdf_batch works block by block; every row must equal that row quantized alone."""
 
     @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
     def test_rows_equal_per_row_quantization(self, rows):
@@ -101,7 +107,7 @@ class TestBlockedQuantize:
         batch = quantize_cdf_batch(pmfs)
         assert batch.shape == (rows, 1001)
         for r in range(rows):
-            np.testing.assert_array_equal(batch[r], quantize_cdf(pmfs[r]))
+            np.testing.assert_array_equal(batch[r], row_cdf(pmfs[r]))
         for r in fallback:
             freqs = np.diff(batch[r])
             assert freqs.max() - freqs.min() <= 1
@@ -115,13 +121,19 @@ class TestBlockedQuantize:
 
 class TestRoundTrip:
     def test_empty_sequence(self):
-        cdf = quantize_cdf(np.array([0.5, 0.5]))
+        cdf = row_cdf(np.array([0.5, 0.5]))
         stream = encode([], one_table(cdf))
         assert len(stream.payload) <= 32
         assert decode(stream, one_table(cdf), 0) == []
 
+    def test_one_symbol_table_costs_no_bits(self):
+        cdf = row_cdf(np.array([1.0]))
+        stream = encode([0] * 50, one_table(cdf))
+        assert len(stream.payload) == 12  # flush plus checksum, no renormalization byte
+        assert decode(stream, one_table(cdf), 50) == [0] * 50
+
     def test_uniform_256_length_bound(self):
-        cdf = quantize_cdf(np.full(256, 1.0 / 256.0))
+        cdf = row_cdf(np.full(256, 1.0 / 256.0))
         symbols = RNG.integers(0, 256, size=10_000).tolist()
         stream = encode(symbols, one_table(cdf))
         assert 10_000 <= len(stream.payload) <= 10_032
@@ -129,7 +141,7 @@ class TestRoundTrip:
 
     def test_high_probability_symbols_compress_hard(self):
         pmf = np.array([0.999, 0.0005, 0.0003, 0.0002])
-        cdf = quantize_cdf(pmf)
+        cdf = row_cdf(pmf)
         symbols = [0] * 10_000
         stream = encode(symbols, one_table(cdf))
         assert len(stream.payload) < 100
@@ -167,7 +179,7 @@ class TestRoundTrip:
         weights = data.draw(st.lists(st.integers(1, 50), min_size=n, max_size=n))
         pmf = np.array(weights, dtype=float)
         pmf /= pmf.sum()
-        cdf = quantize_cdf(pmf)
+        cdf = row_cdf(pmf)
         symbols = data.draw(st.lists(st.integers(0, n - 1), max_size=200))
         stream = encode(symbols, one_table(cdf))
         assert decode(stream, one_table(cdf), len(symbols)) == symbols
@@ -189,7 +201,7 @@ class TestRoundTrip:
 
 class TestIntegrity:
     def test_tampered_byte_detected(self):
-        cdf = quantize_cdf(np.full(16, 1.0 / 16.0))
+        cdf = row_cdf(np.full(16, 1.0 / 16.0))
         symbols = RNG.integers(0, 16, size=500).tolist()
         stream = encode(symbols, one_table(cdf))
         for pos in range(0, len(stream.payload), 97):
@@ -199,7 +211,7 @@ class TestIntegrity:
                 decode(EncodedStream(bytes(tampered), stream.count), one_table(cdf), 500)
 
     def test_truncated_stream_detected(self):
-        cdf = quantize_cdf(np.full(16, 1.0 / 16.0))
+        cdf = row_cdf(np.full(16, 1.0 / 16.0))
         symbols = RNG.integers(0, 16, size=200).tolist()
         stream = encode(symbols, one_table(cdf))
         for cut in (0, 5, len(stream.payload) // 2, len(stream.payload) - 1):
@@ -207,15 +219,15 @@ class TestIntegrity:
                 decode(EncodedStream(stream.payload[:cut], stream.count), one_table(cdf), 200)
 
     def test_wrong_cdf_detected(self):
-        cdf_a = quantize_cdf(np.array([0.7, 0.1, 0.1, 0.1]))
-        cdf_b = quantize_cdf(np.array([0.1, 0.1, 0.1, 0.7]))
+        cdf_a = row_cdf(np.array([0.7, 0.1, 0.1, 0.1]))
+        cdf_b = row_cdf(np.array([0.1, 0.1, 0.1, 0.7]))
         symbols = RNG.integers(0, 4, size=300).tolist()
         stream = encode(symbols, one_table(cdf_a))
         with pytest.raises(CorruptStreamError):
             decode(stream, one_table(cdf_b), 300)
 
     def test_out_of_alphabet_symbol_rejected_at_encode(self):
-        cdf = quantize_cdf(np.array([0.5, 0.5]))
+        cdf = row_cdf(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="outside"):
             encode([3], one_table(cdf))
 
@@ -224,7 +236,7 @@ class TestGoldenStream:
     """Byte-exact stream freeze: guards cross-platform stability of the format."""
 
     def test_golden_bytes(self):
-        cdf = quantize_cdf(np.array([0.125, 0.25, 0.5, 0.125]))
+        cdf = row_cdf(np.array([0.125, 0.25, 0.5, 0.125]))
         symbols = [2, 2, 1, 0, 3, 2, 1, 2, 2, 0]
         stream = encode(symbols, one_table(cdf))
         assert stream.payload.hex() == GOLDEN_HEX

@@ -12,7 +12,7 @@ import lhgm.tensor as T
 from lhgm.distributions import Alphabet, FactorizedPrior, MixtureParams
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import gaussian_bin_prob, one_shot_mixture_pmf, phi, rel_err
+from oracles import blend_folded_prob, gaussian_bin_prob, one_shot_mixture_pmf, phi, rel_err
 
 RNG = np.random.default_rng(7)
 
@@ -278,6 +278,36 @@ class TestFactorizedPrior:
         pmf = prior.pmf(alpha)
         assert (pmf > 0).all()
         np.testing.assert_allclose(pmf.sum(axis=1), 1.0, atol=1e-6)
+
+    @staticmethod
+    def blend_reference(prior, v, alphabet):
+        upper = prior.cumulative(Tensor(v + 0.5)).data
+        lower = prior.cumulative(Tensor(v - 0.5)).data
+        return blend_folded_prob(upper, lower, v, alphabet.lo, alphabet.hi)
+
+    @pytest.mark.parametrize("seed", [4, 13, 27])
+    def test_fold_matches_blend_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        prior = FactorizedPrior(channels=3, rng=rng)
+        for p in prior.parameters().values():
+            p.data = p.data + rng.normal(scale=0.5, size=p.shape)
+        alpha = Alphabet(-4, 6)
+        # every channel holds values on lo, on hi and in the interior
+        v = np.tile([alpha.lo, alpha.hi, 0.0, 2.0, alpha.lo, -3.0, alpha.hi, 5.0], (3, 1))
+        got = prior.prob(Tensor(v), alpha).data
+        np.testing.assert_array_equal(got.view(np.int64), self.blend_reference(prior, v, alpha).view(np.int64))
+        table = prior.pmf(alpha)
+        want = self.blend_reference(prior, np.tile(alpha.values(), (3, 1)), alpha)
+        np.testing.assert_array_equal(table.view(np.int64), want.view(np.int64))
+
+    def test_one_symbol_alphabet_holds_all_mass(self):
+        # a narrow prior puts more than half its mass on one bin; seed 2 is
+        # one where the blend reference rounds to 1 - 2^-53 at value 0
+        prior = FactorizedPrior(channels=8, init_scale=0.3, rng=np.random.default_rng(2))
+        zero = Alphabet(0, 0)
+        assert (self.blend_reference(prior, np.zeros((8, 1)), zero) != 1.0).any()
+        for a in range(-3, 4):
+            np.testing.assert_array_equal(prior.pmf(Alphabet(a, a)), np.ones((8, 1)))
 
     def test_cumulative_monotone(self):
         prior = FactorizedPrior(channels=2, rng=np.random.default_rng(5))

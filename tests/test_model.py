@@ -56,8 +56,9 @@ class TestShapes:
     def test_synthesis_restores_spatial_dims(self, tiny_weights):
         x = random_image(32, 48)
         out = forward(x, tiny_weights, "infer")
-        assert out.params_x.plane_shape == (1, 3, 32, 48)
-        assert out.params_y.plane_shape == (1, tiny_weights.config.latent_channels, 8, 12)
+        for params, plane in ((out.params_x, (1, 3, 32, 48)), (out.params_y, (1, tiny_weights.config.latent_channels, 8, 12))):
+            n, _, c, h, w = params.weights.shape
+            assert (n, c, h, w) == plane
 
 
 class TestQuantize:

@@ -1,0 +1,149 @@
+"""Paired benchmark: a parent commit against this checkout, one command, one BENCH_<n>.json.
+
+    python3 tools/bench_pairs.py --out BENCH_7.json --pairs 10 --seed 0 --change "what changed"
+
+The parent commit (``--parent``, default HEAD) is exported with
+``git archive`` into a temporary directory, which is removed afterwards;
+the change side is this checkout's working tree. Every pair runs
+``python3 perfbench/run.py --workload W --seed S`` once in each tree,
+one process at a time, and the side that runs first alternates from
+pair to pair, so drift of the host falls on both sides alike. The
+output keeps every run and, per workload and metric, the quartiles of
+each side, the number of pairs in which the change is lower, the ties,
+and the failed operations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3], linear interpolation between order statistics."""
+    if len(values) == 1:
+        return [values[0]] * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summarize(runs: list[dict], metrics: list[str]) -> dict:
+    """Per workload and seed: quartiles of each side, pairs where the change is lower, ties, failures.
+
+    A metric enters a pair only when both of its runs produced it.
+    """
+    summary: dict[str, dict] = {}
+    for key in dict.fromkeys(f"{r['workload']}/seed{r['seed']}" for r in runs):
+        mine = [r for r in runs if f"{r['workload']}/seed{r['seed']}" == key]
+        sides = {side: {r["pair"]: r for r in mine if r["side"] == side} for side in ("parent", "change")}
+        pairs = sorted(set(sides["parent"]) & set(sides["change"]))
+        entry: dict[str, object] = {"pairs": len(pairs)}
+        for name in metrics:
+            both = [(sides["parent"][p]["metrics"][name], sides["change"][p]["metrics"][name])
+                    for p in pairs if name in sides["parent"][p]["metrics"] and name in sides["change"][p]["metrics"]]
+            if not both:
+                continue
+            entry[name] = {
+                "parent_q1_median_q3": quartiles([a for a, _ in both]),
+                "change_q1_median_q3": quartiles([b for _, b in both]),
+                "change_lower_in": sum(b < a for a, b in both),
+                "ties": sum(b == a for a, b in both),
+            }
+        entry["failed"] = {
+            "parent": sum(r["failed"] for r in sides["parent"].values()),
+            "change": sum(r["failed"] for r in sides["change"].values()),
+            "attempted_parent": sum(r["attempted"] for r in sides["parent"].values()),
+            "attempted_change": sum(r["attempted"] for r in sides["change"].values()),
+        }
+        summary[key] = entry
+    return summary
+
+
+def export(rev: str, into: Path) -> None:
+    """Write the committed files of ``rev`` into ``into``."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise subprocess.CalledProcessError(archive.returncode, "git archive")
+
+
+def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
+    """One benchmark process in ``tree``; returns its result line and its environment line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    environment = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        print(f"{workload} in {tree} exited with code {proc.returncode} and no result", file=sys.stderr)
+        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    return result, environment
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
+    parser.add_argument("--parent", default="HEAD", help="commit to compare against (default HEAD)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--change", default="", help="one line on what the change does")
+    args = parser.parse_args()
+
+    parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
+                            check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    runs: list[dict] = []
+    host: dict = {}
+    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    try:
+        export(parent, tmp)
+        trees = {"parent": tmp, "change": ROOT}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for workload in [w["name"] for w in spec["workloads"]]:
+                for position, side in enumerate(order):
+                    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+                    result, environment = run_once(trees[side], workload, args.seed)
+                    host = host or environment
+                    runs.append({"workload": workload, "pair": pair, "seed": args.seed, "side": side,
+                                 "order": position, "started_utc": started, "correct": result["correct"],
+                                 "attempted": result["attempted"], "failed": result["failed"],
+                                 "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                    print(f"pair {pair} {workload} {side}: {runs[-1]['metrics']}", flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    out = {
+        "what": "perfbench/run.py end-to-end metrics, parent commit against this change, in alternating order",
+        "parent_commit": parent,
+        "change": args.change,
+        "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
+                   f"({spec['run_seconds']}-s runs, the benchmark default), run once in a checkout of each side",
+        "produced_by": "python3 tools/bench_pairs.py " + " ".join(
+            a if " " not in a else json.dumps(a) for a in sys.argv[1:]),
+        "protocol": "each pair runs both sides back to back, one process at a time; "
+                    "the side that runs first alternates from pair to pair",
+        "host": host,
+        "claim": None,
+        "summary": summarize(runs, metrics),
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
