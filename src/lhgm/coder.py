@@ -1,20 +1,26 @@
 """Integer range coder with exact reversibility and near-entropy output.
 
-State is a 64-bit (low, range) pair with 16-bit symbol probabilities and
-byte-wise renormalization, so per-symbol truncation waste is below
-2^-40 bits. Carries propagate directly into the in-memory output buffer.
+State is a 64-bit interval (start ``low``, width ``span``) with 16-bit
+symbol probabilities and byte-wise renormalization, so per-symbol
+truncation waste is below 2^-40 bits. Carries propagate directly into the
+in-memory output buffer.
 
-Stream byte format (frozen, version-independent of the container):
+Stream byte format (frozen, version-independent of the container). One
+function writes it, ``encode``, and one reads it, ``decode``:
 
     [renormalization bytes, big-endian, most significant first]
     [8 flush bytes: the remaining 64 bits of `low`, big-endian]
     [4 bytes: CRC-32 of the symbol payload (symbols as little-endian
      uint32), big-endian]
 
-A decoder therefore consumes exactly ``len(payload) - 4`` bytes while
-decoding and verifies the trailing checksum; any mismatch, exhausted
-buffer, or out-of-range cumulative value raises CorruptStreamError
-instead of returning wrong symbols.
+``encode`` appends a renormalization byte whenever ``span`` falls below
+2^56, then the 8 flush bytes and the checksum. ``decode`` rejects a stream
+shorter than 12 bytes, fills its 64-bit code from the first 8 bytes and
+reads one byte per renormalization shift, so after the last symbol it must
+have consumed exactly ``len(payload) - 4`` bytes; then it checks the
+trailing checksum. Any mismatch, exhausted buffer, or out-of-range
+cumulative value raises CorruptStreamError instead of returning wrong
+symbols.
 
 CDF tables are integer cumulative frequencies c[0..n] with c[0] = 0,
 c[n] = 2^16, strictly increasing (every symbol has frequency >= 1).
@@ -105,106 +111,72 @@ def _frequencies(pmfs: np.ndarray) -> np.ndarray:
     return freqs
 
 
-class _RangeEncoder:
-    def __init__(self):
-        self.low = 0
-        self.range = _MASK64
-        self.buf = bytearray()
-
-    def encode(self, cdf: np.ndarray, sym: int) -> None:
-        r = self.range >> PRECISION
-        c_lo = int(cdf[sym])
-        c_hi = int(cdf[sym + 1])
-        self.low += r * c_lo
-        self.range = r * (c_hi - c_lo)
-        if self.low > _MASK64:  # carry into already-emitted bytes
-            self.low &= _MASK64
-            i = len(self.buf) - 1
-            while self.buf[i] == 0xFF:
-                self.buf[i] = 0
-                i -= 1
-            self.buf[i] += 1
-        while self.range < _TOP:
-            self.buf.append((self.low >> 56) & 0xFF)
-            self.low = (self.low << 8) & _MASK64
-            self.range <<= 8
-
-    def finish(self) -> bytes:
-        for _ in range(8):
-            self.buf.append((self.low >> 56) & 0xFF)
-            self.low = (self.low << 8) & _MASK64
-        return bytes(self.buf)
-
-
-class _RangeDecoder:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-        self.range = _MASK64
-        self.code = 0
-        for _ in range(8):
-            self.code = (self.code << 8) | self._byte()
-
-    def _byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise CorruptStreamError("range coder ran past the end of the stream")
-        b = self.data[self.pos]
-        self.pos += 1
-        return b
-
-    def decode(self, cdf: np.ndarray) -> int:
-        r = self.range >> PRECISION
-        cum = self.code // r
-        if cum >= TOTAL:
-            raise CorruptStreamError("cumulative value outside coder precision")
-        sym = int(np.searchsorted(cdf, cum, side="right")) - 1
-        if sym < 0 or sym >= len(cdf) - 1:
-            raise CorruptStreamError("decoded symbol outside alphabet")
-        self.code -= r * int(cdf[sym])
-        self.range = r * int(cdf[sym + 1] - cdf[sym])
-        if self.code >= self.range:
-            raise CorruptStreamError("code drifted outside the active interval")
-        while self.range < _TOP:
-            self.code = ((self.code << 8) | self._byte()) & _MASK64
-            self.range <<= 8
-        return sym
-
-
 def _symbol_crc(symbols: Sequence[int]) -> int:
     return zlib.crc32(np.asarray(symbols, dtype="<u4").tobytes()) & 0xFFFFFFFF
 
 
 def encode(symbols: Sequence[int], cdfs: CdfProvider) -> EncodedStream:
-    """Encode symbols against per-symbol CDFs from the pull provider."""
-    enc = _RangeEncoder()
+    """Encode symbols against per-symbol CDFs from the pull provider; writes the whole stream."""
+    low, span, buf = 0, _MASK64, bytearray()
     seen: list[int] = []
     for i, sym in enumerate(symbols):
         cdf = cdfs(i, seen)
         if not 0 <= sym < len(cdf) - 1:
             raise ValueError(f"symbol {sym} outside cdf alphabet of size {len(cdf) - 1}")
-        if cdf[sym + 1] <= cdf[sym]:
+        c_lo, c_hi = int(cdf[sym]), int(cdf[sym + 1])
+        if c_hi <= c_lo:
             raise ValueError(f"symbol {sym} has zero frequency")
-        enc.encode(cdf, sym)
+        r = span >> PRECISION
+        low += r * c_lo
+        span = r * (c_hi - c_lo)
+        if low > _MASK64:  # carry into already-emitted bytes
+            low &= _MASK64
+            j = len(buf) - 1
+            while buf[j] == 0xFF:
+                buf[j] = 0
+                j -= 1
+            buf[j] += 1
+        while span < _TOP:
+            buf.append(low >> 56)
+            low = (low << 8) & _MASK64
+            span <<= 8
         seen.append(int(sym))
-    payload = enc.finish() + _symbol_crc(seen).to_bytes(4, "big")
-    return EncodedStream(payload=payload, count=len(seen))
+    buf += low.to_bytes(8, "big") + _symbol_crc(seen).to_bytes(4, "big")
+    return EncodedStream(payload=bytes(buf), count=len(seen))
 
 
 def decode(stream: EncodedStream, cdfs: CdfProvider, count: int) -> list[int]:
-    """Decode ``count`` symbols; raises CorruptStreamError on any damage."""
-    if len(stream.payload) < 12:
+    """Decode ``count`` symbols, reading the whole stream; raises CorruptStreamError on any damage."""
+    data = stream.payload
+    if len(data) < 12:
         raise CorruptStreamError("stream shorter than coder flush plus checksum")
-    coder_bytes = stream.payload[:-4]
-    dec = _RangeDecoder(coder_bytes)
+    end = len(data) - 4  # the coder bytes end where the checksum starts
+    code, span, pos = int.from_bytes(data[:8], "big"), _MASK64, 8
     out: list[int] = []
     for i in range(count):
-        out.append(dec.decode(cdfs(i, out)))
-    if dec.pos != len(coder_bytes):
-        raise CorruptStreamError(
-            f"stream length mismatch: consumed {dec.pos} of {len(coder_bytes)} coder bytes"
-        )
-    stored = int.from_bytes(stream.payload[-4:], "big")
-    if _symbol_crc(out) != stored:
+        cdf = cdfs(i, out)
+        r = span >> PRECISION
+        cum = code // r
+        if cum >= TOTAL:
+            raise CorruptStreamError("cumulative value outside coder precision")
+        sym = int(np.searchsorted(cdf, cum, side="right")) - 1
+        if sym < 0 or sym >= len(cdf) - 1:
+            raise CorruptStreamError("decoded symbol outside alphabet")
+        c_lo = int(cdf[sym])
+        code -= r * c_lo
+        span = r * (int(cdf[sym + 1]) - c_lo)
+        if code >= span:
+            raise CorruptStreamError("code drifted outside the active interval")
+        while span < _TOP:
+            if pos >= end:
+                raise CorruptStreamError("range coder ran past the end of the stream")
+            code = ((code << 8) | data[pos]) & _MASK64
+            pos += 1
+            span <<= 8
+        out.append(sym)
+    if pos != end:
+        raise CorruptStreamError(f"stream length mismatch: consumed {pos} of {end} coder bytes")
+    if _symbol_crc(out) != int.from_bytes(data[end:], "big"):
         raise CorruptStreamError("symbol payload checksum mismatch")
     return out
 

@@ -51,6 +51,11 @@ _LN2 = float(np.log(2.0))
 # blocks of 16 to 128 rows ran equally fast (larger ones slower); 64 rows
 # keep the scratch near 2 MB.
 _PMF_BLOCK_ROWS = 64
+# The factorized prior's per-channel network, 1 -> 3 -> 3 -> 3 -> 1, and the
+# scale of its initial slopes; the committed weight files fix depth and width.
+_PRIOR_DEPTH = 4
+_PRIOR_HIDDEN = 3
+_PRIOR_INIT_SCALE = 10.0
 
 
 @dataclass(frozen=True)
@@ -185,28 +190,25 @@ class FactorizedPrior:
     by a sigmoid into a strictly increasing cumulative on (0, 1).
     """
 
-    def __init__(self, channels: int, depth: int = 4, hidden: int = 3, init_scale: float = 10.0, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, channels: int, rng: np.random.Generator):
         self.channels = channels
-        self.depth = depth
-        dims = [1] + [hidden] * (depth - 1) + [1]
-        scale = init_scale ** (1.0 / depth)
+        dims = [1] + [_PRIOR_HIDDEN] * (_PRIOR_DEPTH - 1) + [1]
+        scale = _PRIOR_INIT_SCALE ** (1.0 / _PRIOR_DEPTH)
         self.matrices: list[Tensor] = []
         self.biases: list[Tensor] = []
         self.factors: list[Tensor | None] = []
-        for i in range(depth):
+        for i in range(_PRIOR_DEPTH):
             d_in, d_out = dims[i], dims[i + 1]
             w0 = _softplus_inv(1.0 / (scale * d_out))
             self.matrices.append(Tensor(np.full((channels, d_out, d_in), w0), requires_grad=True))
             self.biases.append(Tensor(rng.uniform(-0.5, 0.5, size=(channels, d_out, 1)), requires_grad=True))
             self.factors.append(
-                Tensor(np.zeros((channels, d_out, 1)), requires_grad=True) if i < depth - 1 else None
+                Tensor(np.zeros((channels, d_out, 1)), requires_grad=True) if i < _PRIOR_DEPTH - 1 else None
             )
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for i in range(self.depth):
+        for i in range(_PRIOR_DEPTH):
             out[f"prior.w{i}"] = self.matrices[i]
             out[f"prior.b{i}"] = self.biases[i]
             if self.factors[i] is not None:
@@ -217,7 +219,7 @@ class FactorizedPrior:
         """Monotone pre-sigmoid response for ``t`` of shape [channels, M]."""
         c, m = t.shape
         h = T.reshape(t, (c, 1, m))
-        for i in range(self.depth):
+        for i in range(_PRIOR_DEPTH):
             w = self.matrices[i]
             _, d_out, d_in = w.shape
             sp = T.broadcast_to(T.reshape(T.softplus(w), (c, d_out, d_in, 1)), (c, d_out, d_in, m))

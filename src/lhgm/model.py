@@ -37,9 +37,6 @@ _SCALE_SPAN_X = 32.0
 _SCALE_BIAS_X = float(np.log(np.expm1(8.0 / _SCALE_SPAN_X)))
 _SCALE_BIAS_Y = float(np.log(np.expm1(1.0)))
 
-_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
-          "false": False, "0": False, "no": False, "off": False}
-
 
 @dataclass
 class ModelConfig:
@@ -69,28 +66,28 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
+        """Inverse of :meth:`to_text`: one ``key = value`` line for every field, each exactly once."""
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
+        for line in text.splitlines():
+            key, sep, value = line.partition(" = ")
             if not sep:
-                raise ValueError(f"malformed model config line: {raw!r}")
-            key = key.strip()
-            value = value.strip()
+                raise ValueError(f"malformed model config line: {line!r}")
             if key not in types:
                 raise ValueError(f"unknown model config key {key!r}")
+            if key in kwargs:
+                raise ValueError(f"model config key {key!r} appears twice")
             if types[key] == "bool":
-                flag = _BOOLS.get(value.lower())
-                if flag is None:
-                    raise ValueError(f"bad bool in model config line: {raw!r}")
-                kwargs[key] = flag
+                if value not in ("True", "False"):
+                    raise ValueError(f"bad bool in model config line: {line!r}")
+                kwargs[key] = value == "True"
             elif types[key] == "int":
                 kwargs[key] = int(value)
             else:
                 kwargs[key] = float(value)
+        missing = [name for name in types if name not in kwargs]
+        if missing:
+            raise ValueError(f"model config lacks {', '.join(missing)}")
         return cls(**kwargs)
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "log",
     "clamp",
     "leaky_relu",
@@ -97,9 +96,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -107,12 +103,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -168,6 +158,8 @@ def backward(loss: Tensor) -> None:
 
 
 def _make_out(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    # A one-input op's closure is recorded only when its input requires a
+    # gradient, so it needs no guard; ops with several inputs check each one.
     out = Tensor(data)
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
@@ -249,25 +241,14 @@ def div(a, b) -> Tensor:
     return _make_out(data, (a, b), bwd)
 
 
-def neg(x: Tensor) -> Tensor:
-    x = as_tensor(x)
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(-g)
-
-    return _make_out(-x.data, (x,), bwd)
-
-
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x.accumulate_grad(g / x.data)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x.accumulate_grad(g / x.data)
 
     return _make_out(data, (x,), bwd)
 
@@ -279,8 +260,7 @@ def clamp(x: Tensor, lo: float) -> Tensor:
     inside = x.data >= lo
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * inside)
+        x.accumulate_grad(g * inside)
 
     return _make_out(data, (x,), bwd)
 
@@ -291,8 +271,7 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     data = np.where(pos, x.data, slope * x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * np.where(pos, 1.0, slope))
+        x.accumulate_grad(g * np.where(pos, 1.0, slope))
 
     return _make_out(data, (x,), bwd)
 
@@ -303,8 +282,7 @@ def softplus(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * _sigmoid_np(x.data))
+        x.accumulate_grad(g * _sigmoid_np(x.data))
 
     return _make_out(data, (x,), bwd)
 
@@ -314,8 +292,7 @@ def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (1.0 - data * data))
+        x.accumulate_grad(g * (1.0 - data * data))
 
     return _make_out(data, (x,), bwd)
 
@@ -329,8 +306,7 @@ def sigmoid(x: Tensor) -> Tensor:
     data = _sigmoid_np(x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * data * (1.0 - data))
+        x.accumulate_grad(g * data * (1.0 - data))
 
     return _make_out(data, (x,), bwd)
 
@@ -342,9 +318,8 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     data = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        if x.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            x.accumulate_grad(data * (g - inner))
+        inner = (g * data).sum(axis=axis, keepdims=True)
+        x.accumulate_grad(data * (g - inner))
 
     return _make_out(data, (x,), bwd)
 
@@ -354,8 +329,7 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     data = x.data.sum(axis=axis)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape))
+        x.accumulate_grad(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape))
 
     return _make_out(data, (x,), bwd)
 
@@ -371,8 +345,7 @@ def std_normal_cdf(x: Tensor) -> Tensor:
     data = ndtr(x.data)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data))
+        x.accumulate_grad(g * _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data))
 
     return _make_out(data, (x,), bwd)
 
@@ -388,8 +361,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
+        x.accumulate_grad(g.reshape(x.shape))
 
     return _make_out(data, (x,), bwd)
 
@@ -401,8 +373,7 @@ def permute(x: Tensor, axes) -> Tensor:
     data = x.data.transpose(axes)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.transpose(inv))
+        x.accumulate_grad(g.transpose(inv))
 
     return _make_out(data, (x,), bwd)
 
@@ -414,14 +385,13 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     data = np.broadcast_to(x.data, shape)
 
     def bwd(g):
-        if x.requires_grad:
-            gg = g
-            while gg.ndim > x.ndim:
-                gg = gg.sum(axis=0)
-            for i, (gd, xd) in enumerate(zip(gg.shape, x.shape)):
-                if xd == 1 and gd != 1:
-                    gg = gg.sum(axis=i, keepdims=True)
-            x.accumulate_grad(gg)
+        gg = g
+        while gg.ndim > x.ndim:
+            gg = gg.sum(axis=0)
+        for i, (gd, xd) in enumerate(zip(gg.shape, x.shape)):
+            if xd == 1 and gd != 1:
+                gg = gg.sum(axis=i, keepdims=True)
+        x.accumulate_grad(gg)
 
     return _make_out(data, (x,), bwd)
 
@@ -435,10 +405,9 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     data = x.data[idx]
 
     def bwd(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[idx] = g
-            x.accumulate_grad(full)
+        full = np.zeros_like(x.data)
+        full[idx] = g
+        x.accumulate_grad(full)
 
     return _make_out(data, (x,), bwd)
 

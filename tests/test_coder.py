@@ -231,6 +231,20 @@ class TestIntegrity:
         with pytest.raises(ValueError, match="outside"):
             encode([3], one_table(cdf))
 
+    def test_zero_frequency_symbol_rejected_at_encode(self):
+        with pytest.raises(ValueError, match="zero frequency"):
+            encode([1], one_table(np.array([0, C.TOTAL, C.TOTAL])))
+
+    @pytest.mark.parametrize(
+        "payload,cdf,message",
+        [(b"\xff" * 12, [0, C.TOTAL], "outside coder precision"),
+         (b"\x00" * 12, [1, C.TOTAL], "decoded symbol outside alphabet")],
+        ids=["code_above_precision", "first_cumulative_above_zero"],
+    )
+    def test_cumulative_without_a_symbol_rejected(self, payload, cdf, message):
+        with pytest.raises(CorruptStreamError, match=message):
+            decode(EncodedStream(payload, 1), one_table(np.array(cdf)), 1)
+
 
 class TestGoldenStream:
     """Byte-exact stream freeze: guards cross-platform stability of the format."""

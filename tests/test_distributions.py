@@ -302,10 +302,15 @@ class TestFactorizedPrior:
 
     def test_one_symbol_alphabet_holds_all_mass(self):
         # a narrow prior puts more than half its mass on one bin; seed 2 is
-        # one where the blend reference rounds to 1 - 2^-53 at value 0
-        prior = FactorizedPrior(channels=8, init_scale=0.3, rng=np.random.default_rng(2))
+        # one where the blend reference rounds to 1 - 2^-53 at value 0. The
+        # slopes are those of a prior whose four stages scale by 0.3 ** (1/4)
+        # each, against 10 ** (1/4) in the fresh one.
+        prior = FactorizedPrior(channels=8, rng=np.random.default_rng(2))
+        for name, w in prior.parameters().items():
+            if name.startswith("prior.w"):
+                w.data[...] = np.log(np.expm1(1.0 / (0.3 ** (1.0 / 4) * w.shape[1])))
         zero = Alphabet(0, 0)
-        assert (self.blend_reference(prior, np.zeros((8, 1)), zero) != 1.0).any()
+        assert (self.blend_reference(prior, np.zeros((8, 1)), zero) == 1.0 - 2.0**-53).any()
         for a in range(-3, 4):
             np.testing.assert_array_equal(prior.pmf(Alphabet(a, a)), np.ones((8, 1)))
 

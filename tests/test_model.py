@@ -1,6 +1,7 @@
 """Hyperprior model: shapes, quantization, causality, serialization."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,6 +280,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="ture"):
             ModelWeights.deserialize(bad)
 
+    def test_weights_config_without_context_flag_rejected(self):
+        # a missing key used to take its default: this context-free blob
+        # loaded as a context model and could not decode its own streams
+        blob = (Path(__file__).resolve().parents[1] / "perfbench" / "weights" / "tiny_hyper.lhgw").read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 5)
+        cfg = blob[9 : 9 + cfg_len]
+        assert b"context_model = False\n" in cfg
+        cfg = cfg.replace(b"context_model = False\n", b"")
+        bad = blob[:5] + struct.pack("<I", len(cfg)) + cfg + blob[9 + cfg_len :]
+        with pytest.raises(ValueError, match="context_model"):
+            ModelWeights.deserialize(bad)
 
     def test_every_cut_raises_value_error(self, tiny_weights):
         blob = tiny_weights.serialize()
@@ -304,11 +316,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match="ga0.w"):
             ModelWeights.deserialize(weights_blob(tiny_weights.config, entries))
 
+    @pytest.mark.parametrize("defect,message", [
+        ("version", "version 2"),
+        ("count", "has 1 tensors"),
+        ("name", "unexpected tensor 'ga9.b'"),
+        ("shape", r"'ga0.b' has shape \(9,\)"),
+    ])
+    def test_inconsistent_blob_rejected(self, tiny_weights, defect, message):
+        entries = list(tiny_weights.tensors.items())
+        version = M.WEIGHTS_VERSION
+        if defect == "version":
+            version += 1
+        elif defect == "count":
+            entries = entries[:1]
+        elif defect == "name":
+            entries[1] = ("ga9.b", entries[1][1])
+        else:
+            entries[1] = ("ga0.b", Tensor(np.zeros(9)))
+        with pytest.raises(ValueError, match=message):
+            ModelWeights.deserialize(weights_blob(tiny_weights.config, entries, version))
 
-def weights_blob(config, entries):
+
+def weights_blob(config, entries, version=M.WEIGHTS_VERSION):
     """The serialize() layout, written field by field for the given (name, tensor) entries."""
     cfg = config.to_text().encode("utf-8")
-    out = M.WEIGHTS_MAGIC + struct.pack("<BI", M.WEIGHTS_VERSION, len(cfg)) + cfg + struct.pack("<I", len(entries))
+    out = M.WEIGHTS_MAGIC + struct.pack("<BI", version, len(cfg)) + cfg + struct.pack("<I", len(entries))
     for name, t in entries:
         out += struct.pack(f"<H{len(name)}sB{t.ndim}I", len(name), name.encode("utf-8"), t.ndim, *t.shape)
         out += t.data.astype("<f8").tobytes()
@@ -319,14 +351,22 @@ class TestConfigText:
     def test_round_trip(self, config):
         assert ModelConfig.from_text(config.to_text()) == config
 
-    @pytest.mark.parametrize("line", ["context_model", "context_model = ture", "context_model = "])
+    @pytest.mark.parametrize("line", ["context_model", "context_model = ture", "context_model = ",
+                                      "context_model = true"])
     def test_malformed_bool_line_rejected(self, line):
         with pytest.raises(ValueError, match=line.strip()):
             ModelConfig.from_text(line)
 
-    @pytest.mark.parametrize("value,flag", [("TRUE", True), ("on", True), ("1", True), ("No", False), ("off", False), ("0", False)])
-    def test_bool_spellings(self, value, flag):
-        assert ModelConfig.from_text(f"context_model = {value}").context_model is flag
+    @pytest.mark.parametrize("edit", ["drop", "repeat"])
+    def test_every_key_exactly_once(self, edit):
+        text, line = ModelConfig().to_text(), "mixture_k = 3\n"
+        with pytest.raises(ValueError, match="mixture_k"):
+            ModelConfig.from_text(text.replace(line, "") if edit == "drop" else text + line)
+
+    @pytest.mark.parametrize("extra", ["\n", "# comment\n"], ids=["blank", "comment"])
+    def test_only_lines_to_text_writes_accepted(self, extra):
+        with pytest.raises(ValueError):
+            ModelConfig.from_text(extra + ModelConfig().to_text())
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

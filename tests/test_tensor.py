@@ -292,7 +292,6 @@ def _away_from_kinks(x, kinks, margin=1e-3):
 
 UNARY_CASES = [
     ("log", lambda x: T.log(x), lambda s: RNG.uniform(0.2, 3.0, size=s), ()),
-    ("neg", lambda x: T.neg(x), lambda s: RNG.normal(size=s), ()),
     ("clamp", lambda x: T.clamp(x, -1.0), lambda s: RNG.normal(size=s) * 2, (-1.0,)),
     ("leaky_relu", lambda x: T.leaky_relu(x, 0.1), lambda s: RNG.normal(size=s), (0.0,)),
     ("softplus", lambda x: T.softplus(x), lambda s: RNG.normal(size=s) * 3, ()),
