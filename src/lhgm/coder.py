@@ -24,6 +24,8 @@ symbols.
 
 CDF tables are integer cumulative frequencies c[0..n] with c[0] = 0,
 c[n] = 2^16, strictly increasing (every symbol has frequency >= 1).
+``quantize_cdf_batch`` builds them as uint32, 4 bytes per cumulative; the
+coder reads any 1-D integer numpy row.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ SUM_TOLERANCE = 1e-5
 _CDF_BLOCK_ROWS = 512
 
 # A CDF provider maps (symbol index, previously coded symbols) to the
-# cumulative table for that symbol. Decoding is pull-driven: the provider
-# may depend on every earlier symbol, which is what the autoregressive
-# context model requires.
+# cumulative table for that symbol: a 1-D integer numpy row, such as a row
+# of quantize_cdf_batch's uint32 result. Decoding is pull-driven: the
+# provider may depend on every earlier symbol, which is what the
+# autoregressive context model requires.
 CdfProvider = Callable[[int, Sequence[int]], np.ndarray]
 
 
@@ -61,7 +64,7 @@ class EncodedStream:
 
 
 def quantize_cdf_batch(pmfs: np.ndarray) -> np.ndarray:
-    """Row-wise pmf quantization; returns int64 cumulatives [rows, n+1].
+    """Row-wise pmf quantization; returns uint32 cumulatives [rows, n+1].
 
     Frequencies are rounded to a total of 2^16 with every symbol floored
     at frequency 1; the rounding residual is absorbed by the largest bin.
@@ -76,7 +79,7 @@ def quantize_cdf_batch(pmfs: np.ndarray) -> np.ndarray:
     n = pmfs.shape[1]
     if n < 1 or n > TOTAL:
         raise ValueError(f"pmf length must be in [1, {TOTAL}], got {n}")
-    cdf = np.zeros((pmfs.shape[0], n + 1), dtype=np.int64)
+    cdf = np.zeros((pmfs.shape[0], n + 1), dtype=np.uint32)
     for start in range(0, pmfs.shape[0], _CDF_BLOCK_ROWS):
         rows = slice(start, start + _CDF_BLOCK_ROWS)
         np.cumsum(_frequencies(pmfs[rows]), axis=1, out=cdf[rows, 1:])
@@ -86,6 +89,8 @@ def quantize_cdf_batch(pmfs: np.ndarray) -> np.ndarray:
 def _frequencies(pmfs: np.ndarray) -> np.ndarray:
     """Validated pmf rows -> int64 frequencies, each >= 1, summing to TOTAL per row."""
     n = pmfs.shape[1]
+    if not np.isfinite(pmfs).all():
+        raise ValueError("pmf entries must be finite")
     if np.any(pmfs < -1e-12):
         raise ValueError("pmf entries must be non-negative")
     sums = pmfs.sum(axis=1)
@@ -159,7 +164,7 @@ def decode(stream: EncodedStream, cdfs: CdfProvider, count: int) -> list[int]:
         cum = code // r
         if cum >= TOTAL:
             raise CorruptStreamError("cumulative value outside coder precision")
-        sym = int(np.searchsorted(cdf, cum, side="right")) - 1
+        sym = int(cdf.searchsorted(cum, "right")) - 1
         if sym < 0 or sym >= len(cdf) - 1:
             raise CorruptStreamError("decoded symbol outside alphabet")
         c_lo = int(cdf[sym])

@@ -5,6 +5,8 @@ high-precision special functions) and shares no code with the package
 under test.
 """
 
+import math
+
 import mpmath
 import numpy as np
 from scipy.special import ndtr
@@ -135,6 +137,30 @@ def blend_folded_prob(upper, lower, values, lo, hi):
     at_lo = (values == lo).astype(np.float64)
     at_hi = (values == hi).astype(np.float64)
     return (upper - lower) * (1.0 - at_lo - at_hi) + upper * at_lo + (1.0 - lower) * at_hi
+
+
+def int64_quantized_cdf(pmf, total=1 << 16):
+    """Cumulative table of one pmf row, quantized symbol by symbol in Python ints, as int64.
+
+    Each frequency is rint(p * total) floored at 1; the first largest bin
+    absorbs the residual. If that would leave it below 1, every symbol
+    takes floor(p * (total - n)) + 1 and the leftover units go one each to
+    the largest fractional parts, ties to the lower index. The table is the
+    int64 running sum of the frequencies from 0.
+    """
+    pmf = [float(p) for p in pmf]
+    n = len(pmf)
+    freqs = [max(int(np.rint(p * total)), 1) for p in pmf]
+    top = freqs.index(max(freqs))
+    if freqs[top] + total - sum(freqs) >= 1:
+        freqs[top] += total - sum(freqs)
+    else:
+        scaled = [p * (total - n) for p in pmf]
+        freqs = [math.floor(s) + 1 for s in scaled]
+        order = sorted(range(n), key=lambda i: -(scaled[i] - math.floor(scaled[i])))
+        for i in order[: total - sum(freqs)]:
+            freqs[i] += 1
+    return np.cumsum([0] + freqs, dtype=np.int64)
 
 
 def adam_recursion(grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

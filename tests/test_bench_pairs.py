@@ -50,3 +50,20 @@ def test_unpaired_run_is_left_out():
     codec = bench_pairs.summarize(runs, ["op_s"])["codec/seed0"]
     assert codec["pairs"] == 1
     assert codec["op_s"]["parent_q1_median_q3"] == [1.0, 1.0, 1.0]
+
+
+SPEC = {"workloads": [{"name": "train"}, {"name": "codec_ctx"}],
+        "end_to_end": [{"name": "op_s"}, {"name": "peak_rss_mb"}]}
+
+
+def test_claim_names_a_workload_and_metric_of_the_benchmark():
+    assert bench_pairs.parse_claim("codec_ctx/peak_rss_mb", SPEC) == {"workload": "codec_ctx",
+                                                                      "metric": "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("text,unknown", [("codec/peak_rss_mb", "workload 'codec'"),
+                                          ("codec_ctx/rss", "metric 'rss'"),
+                                          ("codec_ctx", "metric ''")])
+def test_claim_outside_the_benchmark_rejected(text, unknown):
+    with pytest.raises(ValueError, match=unknown):
+        bench_pairs.parse_claim(text, SPEC)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import lhgm.coder as C
 from lhgm.coder import EncodedStream, decode, encode, quantize_cdf_batch, table_provider
 from lhgm.errors import CorruptStreamError
+from oracles import int64_quantized_cdf
 
 RNG = np.random.default_rng(99)
 
@@ -117,6 +118,55 @@ class TestBlockedQuantize:
         pmfs[B + 1, 0] = -0.1
         with pytest.raises(ValueError, match="non-negative"):
             quantize_cdf_batch(pmfs)
+
+    @pytest.mark.parametrize("row", [[np.nan] * 4, [0.5, np.nan, 0.5, 0.0], [0.5, np.inf, 0.5, 0.0],
+                                     [1.0, -np.inf, np.inf, 0.0]], ids=["all_nan", "nan", "inf", "both_infs"])
+    def test_non_finite_row_rejected(self, row):
+        with pytest.raises(ValueError, match="finite"):
+            quantize_cdf_batch(np.array([row]))
+
+    def test_non_finite_row_in_a_later_block_rejected(self):
+        pmfs = np.full((2 * B + 3, 4), 0.25)
+        pmfs[2 * B + 1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            quantize_cdf_batch(pmfs)
+
+
+class TestTableContract:
+    """quantize_cdf_batch returns uint32 tables; the coder reads any 1-D integer row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_are_uint32_and_equal_the_int64_reference(self, data):
+        n = data.draw(st.integers(1, 1200))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            if data.draw(st.booleans()):
+                rows.append(np.full(n, 1.0 / n))  # wide uniform rows take the largest-remainder path
+                continue
+            weights = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+            rows.append(weights / weights.sum() if weights.sum() > 0 else np.full(n, 1.0 / n))
+        cdf = quantize_cdf_batch(np.array(rows))
+        assert cdf.dtype == np.uint32 and cdf.shape == (len(rows), n + 1)
+        assert (cdf[:, 0] == 0).all() and (cdf[:, -1] == C.TOTAL).all()
+        assert (cdf[:, 1:] > cdf[:, :-1]).all()
+        for row, pmf in zip(cdf, rows):
+            np.testing.assert_array_equal(row, int64_quantized_cdf(pmf))
+
+    def test_one_unit_per_symbol_round_trips_both_ends(self):
+        cdf = row_cdf(np.full(C.TOTAL, 1.0 / C.TOTAL))
+        np.testing.assert_array_equal(cdf, np.arange(C.TOTAL + 1))
+        symbols = [0, C.TOTAL - 1, C.TOTAL - 1, 0, 1, C.TOTAL - 2]
+        stream = encode(symbols, one_table(cdf))
+        assert decode(stream, one_table(cdf), len(symbols)) == symbols
+
+    def test_int64_rows_code_the_same_stream(self):
+        tables = [random_cdf(np.random.default_rng(i), 40) for i in range(5)]
+        wide = [t.astype(np.int64) for t in tables]
+        symbols = RNG.integers(0, 40, size=2000).tolist()
+        stream = encode(symbols, lambda i, prev: tables[i % 5])
+        assert encode(symbols, lambda i, prev: wide[i % 5]).payload == stream.payload
+        assert decode(stream, lambda i, prev: wide[i % 5], len(symbols)) == symbols
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """Paired benchmark: a parent commit against this checkout, one command, one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --out BENCH_7.json --pairs 10 --seed 0 --change "what changed"
+    python3 tools/bench_pairs.py --out BENCH_9.json --pairs 10 --seed 0 --claim codec_ctx/peak_rss_mb
 
 The parent commit (``--parent``, default HEAD) is exported with
 ``git archive`` into a temporary directory, which is removed afterwards;
@@ -10,7 +11,8 @@ one process at a time, and the side that runs first alternates from
 pair to pair, so drift of the host falls on both sides alike. The
 output keeps every run and, per workload and metric, the quartiles of
 each side, the number of pairs in which the change is lower, the ties,
-and the failed operations.
+and the failed operations. ``--claim WORKLOAD/METRIC`` names the gain the
+change claims; both names must be in ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -68,6 +70,18 @@ def summarize(runs: list[dict], metrics: list[str]) -> dict:
     return summary
 
 
+def parse_claim(text: str, spec: dict) -> dict:
+    """``WORKLOAD/METRIC`` -> {"workload": ..., "metric": ...}; ValueError unless BENCHMARK.json has both."""
+    workload, _, metric = text.partition("/")
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if workload not in workloads:
+        raise ValueError(f"claim {text!r}: workload {workload!r} is not one of {workloads}")
+    if metric not in metrics:
+        raise ValueError(f"claim {text!r}: metric {metric!r} is not one of {metrics}")
+    return {"workload": workload, "metric": metric}
+
+
 def export(rev: str, into: Path) -> None:
     """Write the committed files of ``rev`` into ``into``."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
@@ -100,7 +114,12 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--change", default="", help="one line on what the change does")
+    parser.add_argument("--claim", help="WORKLOAD/METRIC the change claims to improve, as named in BENCHMARK.json")
     args = parser.parse_args()
+    try:
+        claim = parse_claim(args.claim, spec) if args.claim else None
+    except ValueError as err:
+        parser.error(str(err))
 
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                             check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
@@ -137,7 +156,7 @@ def main() -> int:
         "protocol": "each pair runs both sides back to back, one process at a time; "
                     "the side that runs first alternates from pair to pair",
         "host": host,
-        "claim": None,
+        "claim": claim,
         "summary": summarize(runs, metrics),
         "runs": runs,
     }
