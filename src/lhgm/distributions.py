@@ -260,23 +260,18 @@ class FactorizedPrior:
 def rate_bits(
     params_or_prior, values: Tensor, alphabet: Alphabet | None = None, *, floor_hits: list[int] | None = None
 ) -> Tensor:
-    """Total code length in bits: sum of -log2 p(v) over all elements.
+    """Total code length in bits: sum of -log2 p(v) over all [N, C, H, W] ``values``.
 
     Differentiable through the parameters; probabilities are floored at
     LIKELIHOOD_FLOOR before the log, since early mixture training can
     underflow on outliers. When ``floor_hits`` is given, the number of
     probabilities below the floor is appended to it.
     """
-    if isinstance(params_or_prior, MixtureParams):
-        p = mixture_prob(params_or_prior, values, alphabet)
-    elif isinstance(params_or_prior, FactorizedPrior):
-        v = values
-        if v.ndim == 4:
-            n, c, h, w = v.shape
-            v = T.reshape(T.permute(v, (1, 0, 2, 3)), (c, n * h * w))
-        p = params_or_prior.prob(v, alphabet)
+    if isinstance(params_or_prior, FactorizedPrior):
+        n, c, h, w = values.shape
+        p = params_or_prior.prob(T.reshape(T.permute(values, (1, 0, 2, 3)), (c, n * h * w)), alphabet)
     else:
-        raise TypeError(f"cannot compute rate from {type(params_or_prior).__name__}")
+        p = mixture_prob(params_or_prior, values, alphabet)
     if floor_hits is not None:
         floor_hits.append(int(np.count_nonzero(p.data < LIKELIHOOD_FLOOR)))
     return T.reduce_sum(T.log(T.clamp(p, lo=LIKELIHOOD_FLOOR))) * (-1.0 / _LN2)

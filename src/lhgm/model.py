@@ -52,8 +52,11 @@ class ModelConfig:
     lrelu_slope: float = 0.2
 
     def __post_init__(self):
-        if self.mixture_k < 1:
-            raise ValueError("mixture_k must be >= 1")
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"model config {f.name} must be >= 1, got {getattr(self, f.name)}")
+        if not math.isfinite(self.lrelu_slope):
+            raise ValueError(f"model config lrelu_slope must be finite, got {self.lrelu_slope}")
 
     @classmethod
     def tiny(cls, context_model: bool = True) -> "ModelConfig":

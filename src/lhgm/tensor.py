@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine is deliberately small: every array is float64, layout is
-row-major NCHW, and binary operations require matching shapes (or a
-scalar operand). Shape changes are explicit via ``reshape`` /
-``broadcast_to`` / ``permute`` so the graph stays auditable. Gradients
-are recorded on an explicit :class:`GradTape`; replaying the tape in
-reverse execution order is a valid topological order by construction.
+Every array is float64 and layout is row-major NCHW. Ops take Tensors.
+``add``, ``sub``, ``mul`` and ``div`` also take a Python or numpy scalar,
+which is a constant; a 0-d operand that needs a gradient must meet an
+operand of its own shape. Any other broadcast is explicit, through
+``broadcast_to``, whose backward sums. Every convolution has a bias.
+Gradients are recorded on an explicit :class:`GradTape`; replaying the
+tape in reverse execution order is a valid topological order by
+construction.
 """
 
 from __future__ import annotations
@@ -68,10 +70,9 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._not_scalar()
-
-    def _not_scalar(self):
-        raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
+        if self.data.size != 1:
+            raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` to the gradient; the first ``g`` is stored as a C-order copy.
@@ -169,13 +170,10 @@ def _make_out(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
 
 
 def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def _scalar_reduce(g: np.ndarray, t: Tensor) -> np.ndarray:
-    # A 0-d operand broadcast against an array accumulates a summed grad.
-    return g.sum() if t.ndim == 0 and g.ndim != 0 else g
+    """One shape, or a 0-d constant against any shape; a 0-d operand that needs a gradient goes through broadcast_to."""
+    scalar = a if a.ndim == 0 else b if b.ndim == 0 else None
+    if a.shape != b.shape and (scalar is None or scalar.requires_grad):
+        raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape} (a 0-d operand must be a constant)")
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +188,9 @@ def add(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(_scalar_reduce(g, a))
+            a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(_scalar_reduce(g, b))
+            b.accumulate_grad(g)
 
     return _make_out(data, (a, b), bwd)
 
@@ -204,9 +202,9 @@ def sub(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(_scalar_reduce(g, a))
+            a.accumulate_grad(g)
         if b.requires_grad:
-            b.accumulate_grad(_scalar_reduce(-g, b))
+            b.accumulate_grad(-g)
 
     return _make_out(data, (a, b), bwd)
 
@@ -218,9 +216,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(_scalar_reduce(g * b.data, a))
+            a.accumulate_grad(g * b.data)
         if b.requires_grad:
-            b.accumulate_grad(_scalar_reduce(g * a.data, b))
+            b.accumulate_grad(g * a.data)
 
     return _make_out(data, (a, b), bwd)
 
@@ -234,15 +232,14 @@ def div(a, b) -> Tensor:
     def bwd(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             if a.requires_grad:
-                a.accumulate_grad(_scalar_reduce(g / b.data, a))
+                a.accumulate_grad(g / b.data)
             if b.requires_grad:
-                b.accumulate_grad(_scalar_reduce(-g * a.data / (b.data * b.data), b))
+                b.accumulate_grad(-g * a.data / (b.data * b.data))
 
     return _make_out(data, (a, b), bwd)
 
 
 def log(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
 
@@ -255,7 +252,6 @@ def log(x: Tensor) -> Tensor:
 
 def clamp(x: Tensor, lo: float) -> Tensor:
     """max(x, lo); the gradient passes where x >= lo."""
-    x = as_tensor(x)
     data = np.maximum(x.data, lo)
     inside = x.data >= lo
 
@@ -266,7 +262,6 @@ def clamp(x: Tensor, lo: float) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    x = as_tensor(x)
     pos = x.data > 0.0
     data = np.where(pos, x.data, slope * x.data)
 
@@ -277,7 +272,6 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     # log(1 + e^x) = max(x, 0) + log1p(e^-|x|); exp never sees a positive argument
     data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
 
@@ -288,7 +282,6 @@ def softplus(x: Tensor) -> Tensor:
 
 
 def tanh(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     data = np.tanh(x.data)
 
     def bwd(g):
@@ -302,7 +295,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = as_tensor(x)
     data = _sigmoid_np(x.data)
 
     def bwd(g):
@@ -312,7 +304,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
-    x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
@@ -325,7 +316,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
 
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
-    x = as_tensor(x)
     data = x.data.sum(axis=axis)
 
     def bwd(g):
@@ -341,7 +331,6 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 def std_normal_cdf(x: Tensor) -> Tensor:
     """Standard normal CDF, elementwise; absolute error well under 1e-12."""
-    x = as_tensor(x)
     data = ndtr(x.data)
 
     def bwd(g):
@@ -356,7 +345,6 @@ def std_normal_cdf(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    x = as_tensor(x)
     shape = tuple(shape)
     data = x.data.reshape(shape)
 
@@ -367,7 +355,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def permute(x: Tensor, axes) -> Tensor:
-    x = as_tensor(x)
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     data = x.data.transpose(axes)
@@ -380,7 +367,6 @@ def permute(x: Tensor, axes) -> Tensor:
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
     """Explicit broadcast, a read-only view; gradient sums over the expanded axes."""
-    x = as_tensor(x)
     shape = tuple(shape)
     data = np.broadcast_to(x.data, shape)
 
@@ -398,7 +384,6 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice along one axis, a view."""
-    x = as_tensor(x)
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
@@ -413,7 +398,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def concat(tensors, axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
 
@@ -460,7 +444,7 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int, 
     return xp
 
 
-def _check_conv_args(x: Tensor, kernel: Tensor, bias, stride: int, padding: int, in_axis: int, opname: str):
+def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: int, in_axis: int, opname: str):
     """Shape checks shared by the three convolutions; ``in_axis`` is the kernel's input-channel axis."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"{opname}: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
@@ -469,7 +453,7 @@ def _check_conv_args(x: Tensor, kernel: Tensor, bias, stride: int, padding: int,
     c_in, c_out = kernel.shape[in_axis], kernel.shape[1 - in_axis]
     if x.shape[1] != c_in:
         raise ValueError(f"{opname}: input has {x.shape[1]} channels but kernel expects {c_in}")
-    if bias is not None and bias.shape != (c_out,):
+    if bias.shape != (c_out,):
         raise ValueError(f"{opname}: bias shape {bias.shape} does not match {c_out} output channels")
 
 
@@ -482,17 +466,15 @@ def _kernel_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _corr_forward(x: Tensor, k2: np.ndarray, bias, kh: int, kw: int, stride: int, pad: int):
+def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, kh: int, kw: int, stride: int, pad: int):
     cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
-    out = np.matmul(k2, cols)  # [n, o, oh*ow]
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1)
+    out = np.matmul(k2, cols) + bias.data.reshape(1, -1, 1)  # [n, o, oh*ow]
     return out.reshape(x.shape[0], -1, oh, ow), cols
 
 
-def _corr_backward(g, x: Tensor, kernel: Tensor, bias, k2, cols, kh, kw, stride, pad, mask=None) -> None:
+def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, kh, kw, stride, pad, mask=None) -> None:
     g2 = g.reshape(g.shape[0], g.shape[1], -1)
-    if bias is not None and bias.requires_grad:
+    if bias.requires_grad:
         bias.accumulate_grad(g2.sum(axis=(0, 2)))
     if kernel.requires_grad:
         dk = _kernel_grad(g2, cols).reshape(kernel.shape)
@@ -501,9 +483,8 @@ def _corr_backward(g, x: Tensor, kernel: Tensor, bias, k2, cols, kh, kw, stride,
         x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, kh, kw, stride, pad, *g.shape[2:]))
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation. Kernel layout [out_ch, in_ch, kh, kw]."""
-    x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv_args(x, kernel, bias, stride, padding, 1, "conv2d")
     o, c, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
@@ -514,17 +495,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 
     def bwd(g):
         _corr_backward(g, x, kernel, bias, k2, cols, kh, kw, stride, padding)
 
-    return _make_out(data, (x, kernel) if bias is None else (x, kernel, bias), bwd)
+    return _make_out(data, (x, kernel, bias), bwd)
 
 
-def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Transposed convolution (gradient-of-conv2d semantics).
 
     Kernel layout [in_ch, out_ch, kh, kw]; output spatial size is
     (H-1)*stride - 2*padding + kh. Even kernels are allowed, which is how
     exact 2x upsampling stages are built (e.g. k=4, stride=2, padding=1).
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv_args(x, kernel, bias, stride, padding, 0, "conv2d_transposed")
     n, ci, h, w = x.shape
     _, co, kh, kw = kernel.shape
@@ -536,11 +516,10 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None = None, str
     k2 = kernel.data.reshape(ci, co * kh * kw)
     x2 = x.data.reshape(n, ci, h * w)
     data = _col2im(np.matmul(k2.T, x2), (n, co, oh, ow), kh, kw, stride, padding, h, w)
-    if bias is not None:
-        data = data + bias.data.reshape(1, co, 1, 1)
+    data += bias.data.reshape(1, co, 1, 1)
 
     def bwd(g):
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         gcols, _, _ = _im2col(g, kh, kw, stride, padding)  # back to [n, co*kh*kw, h*w]
         if kernel.requires_grad:
@@ -548,7 +527,7 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor | None = None, str
         if x.requires_grad:
             x.accumulate_grad(np.matmul(k2, gcols).reshape(x.shape))
 
-    return _make_out(data, (x, kernel) if bias is None else (x, kernel, bias), bwd)
+    return _make_out(data, (x, kernel, bias), bwd)
 
 
 def mask_a(kh: int, kw: int) -> np.ndarray:
@@ -560,14 +539,13 @@ def mask_a(kh: int, kw: int) -> np.ndarray:
     return m
 
 
-def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
+def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Causal convolution: output at raster position p sees only inputs before p.
 
     Stride 1 with same-size padding; the kernel must be square with odd size.
     The mask zeroes the kernel before application, so the gradient w.r.t. the
     kernel is zero on masked taps.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv_args(x, kernel, bias, 1, 0, 1, "masked_conv2d")
     o, c, kh, kw = kernel.shape
     if kh != kw or kh % 2 == 0:
@@ -579,4 +557,4 @@ def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     def bwd(g):
         _corr_backward(g, x, kernel, bias, k2, cols, kh, kw, 1, kh // 2, mask)
 
-    return _make_out(data, (x, kernel) if bias is None else (x, kernel, bias), bwd)
+    return _make_out(data, (x, kernel, bias), bwd)

@@ -29,6 +29,7 @@ from .model import ForwardOutputs, ModelConfig, ModelWeights
 from .tensor import GradTape, Tensor
 
 log = logging.getLogger(__name__)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's standard moment decays and denominator floor
 
 
 @dataclass
@@ -100,9 +101,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     skipped: int = 0
 
     @classmethod
@@ -122,19 +120,19 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
             log.warning("skipping optimizer step %d: non-finite gradient", state.t + 1)
             return
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - _BETA1**state.t
+    c2 = 1.0 - _BETA2**state.t
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             continue
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
 def global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -142,8 +140,8 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values() if g is not None)))
 
 
-def sample_patches(corpus, patch: int, batch: int, rng: np.random.Generator) -> Tensor:
-    """Uniform random crops as a [batch, 3, patch, patch] tensor of raw pixels."""
+def eligible_images(corpus, patch: int) -> list:
+    """The corpus images that hold a patch x patch crop, with a warning for each one too small; all must be RGB."""
     eligible = []
     for i, img in enumerate(corpus):
         h, w, c = img.shape
@@ -155,9 +153,14 @@ def sample_patches(corpus, patch: int, batch: int, rng: np.random.Generator) -> 
             log.warning("skipping corpus image %d: %dx%d smaller than patch %d", i, h, w, patch)
     if not eligible:
         raise ValueError(f"no corpus image is at least {patch}x{patch}")
+    return eligible
+
+
+def sample_patches(corpus, patch: int, batch: int, rng: np.random.Generator) -> Tensor:
+    """Uniform random crops as a [batch, 3, patch, patch] tensor of raw pixels, from ``eligible_images`` output."""
     out = np.empty((batch, 3, patch, patch), dtype=np.float64)
     for b in range(batch):
-        img = eligible[int(rng.integers(len(eligible)))]
+        img = corpus[int(rng.integers(len(corpus)))]
         top = int(rng.integers(img.shape[0] - patch + 1))
         left = int(rng.integers(img.shape[1] - patch + 1))
         crop = img[top : top + patch, left : left + patch]
@@ -206,6 +209,7 @@ def train_loop(
     quantization noise, so two runs with identical (config, corpus) produce
     bitwise-identical weights.
     """
+    corpus = eligible_images(corpus, config.patch)
     root = np.random.SeedSequence(config.seed)
     init_seq, crop_seq, noise_seq = root.spawn(3)
     if weights is None:

@@ -11,6 +11,10 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
+def lower(name, bound):
+    return {"name": name, "better": "lower", "bound": bound}
+
+
 def run(workload, pair, side, failed=0, attempted=6, **metrics):
     return {"workload": workload, "pair": pair, "seed": 0, "side": side, "failed": failed,
             "attempted": attempted, "metrics": metrics}
@@ -29,13 +33,14 @@ def test_summary_counts_lower_pairs_ties_and_failures():
         run("codec", 2, "parent", op_s=2.0, bpsp=6.1), run("codec", 2, "change", op_s=2.0, bpsp=6.1),
         run("train", 0, "parent", op_s=0.2), run("train", 0, "change", failed=1, attempted=4),
     ]
-    summary = bench_pairs.summarize(runs, ["op_s", "bpsp", "peak_rss_mb"])
+    summary = bench_pairs.summarize(runs, [lower("op_s", 0.25), lower("bpsp", 0.1), lower("peak_rss_mb", 0.1)])
     assert list(summary) == ["codec/seed0", "train/seed0"]
     codec = summary["codec/seed0"]
     assert codec["pairs"] == 3
     assert codec["op_s"] == {"parent_q1_median_q3": [1.5, 2.0, 2.5], "change_q1_median_q3": [1.5, 2.0, 2.0],
-                             "change_lower_in": 1, "ties": 1}
+                             "change_lower_in": 1, "ties": 1, "verdict": "unresolved"}
     assert codec["bpsp"]["ties"] == 3 and codec["bpsp"]["change_lower_in"] == 0
+    assert codec["bpsp"]["verdict"] == "ok"
     assert "peak_rss_mb" not in codec
     assert codec["failed"] == {"parent": 0, "change": 0, "attempted_parent": 18, "attempted_change": 18}
     # a run without metrics takes its pair out of every metric but still counts its failures
@@ -47,7 +52,7 @@ def test_summary_counts_lower_pairs_ties_and_failures():
 def test_unpaired_run_is_left_out():
     runs = [run("codec", 0, "parent", op_s=1.0), run("codec", 0, "change", op_s=2.0),
             run("codec", 1, "parent", op_s=9.0)]
-    codec = bench_pairs.summarize(runs, ["op_s"])["codec/seed0"]
+    codec = bench_pairs.summarize(runs, [lower("op_s", 0.25)])["codec/seed0"]
     assert codec["pairs"] == 1
     assert codec["op_s"]["parent_q1_median_q3"] == [1.0, 1.0, 1.0]
 
@@ -67,3 +72,54 @@ def test_claim_names_a_workload_and_metric_of_the_benchmark():
 def test_claim_outside_the_benchmark_rejected(text, unknown):
     with pytest.raises(ValueError, match=unknown):
         bench_pairs.parse_claim(text, SPEC)
+
+
+def paired(parent, change):
+    return list(zip(parent, change))
+
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]  # quartile spread 0.0275
+
+
+@pytest.mark.parametrize("better,change,expected", [
+    ("lower", [1.3] * 10, "worse"),      # median 30% above the parent's, bound 25%
+    ("lower", [1.2] * 10, "ok"),         # 20% above: inside the bound
+    ("higher", [0.7] * 10, "worse"),     # 30% below where higher is better
+    ("higher", [1.3] * 10, "ok"),
+])
+def test_verdict_worse_only_beyond_the_bound_of_the_parent_median(better, change, expected):
+    assert bench_pairs.verdict(paired(PARENT, change), better, 0.25) == expected
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    wide = [0.5, 1.5] * 5  # quartiles 0.5, 1.0, 1.5: a spread of the whole median
+    assert bench_pairs.verdict(paired(wide, [1.0] * 10), "lower", 0.25) == "unresolved"
+    # unless every change run beats every parent run
+    assert bench_pairs.verdict(paired(wide, [0.4] * 10), "lower", 0.25) == "ok"
+    assert bench_pairs.verdict(paired(wide, [1.6] * 10), "higher", 0.25) == "ok"
+
+
+def test_synthetic_runs_get_a_verdict_per_workload_and_metric():
+    runs = []
+    for pair, (a, b) in enumerate(zip(PARENT, [1.3] * 10)):
+        runs += [run("train", pair, "parent", op_s=a, bpsp=6.0), run("train", pair, "change", op_s=b, bpsp=6.0)]
+        runs += [run("codec", pair, "parent", op_s=a), run("codec", pair, "change", op_s=a)]
+    summary = bench_pairs.summarize(runs, [lower("op_s", 0.25), lower("bpsp", 0.1)])
+    assert summary["train/seed0"]["op_s"]["verdict"] == "worse"
+    assert summary["train/seed0"]["bpsp"]["verdict"] == "ok"
+    assert summary["codec/seed0"]["op_s"]["verdict"] == "ok"
+
+
+@pytest.mark.parametrize("parent,change,met", [
+    ([1.0] * 10, [0.9] * 9 + [1.0], True),        # 9 wins and a tie: a tie wins for neither side
+    ([1.0] * 10, [0.9] * 8 + [1.0] * 2, False),   # 8 wins of 10
+    (PARENT, [0.9] * 10, True),
+    (PARENT, [a - 0.01 for a in PARENT], False),  # every pair won, but the medians differ by less than the spread
+])
+def test_claim_met_needs_nine_of_ten_pairs_and_a_median_gap_beyond_the_parent_spread(parent, change, met):
+    assert bench_pairs.claim_met(paired(parent, change), "lower") is met
+
+
+def test_claim_met_follows_the_metric_direction():
+    assert bench_pairs.claim_met(paired(PARENT, [1.1] * 10), "higher")
+    assert not bench_pairs.claim_met(paired(PARENT, [1.1] * 10), "lower")

@@ -8,6 +8,7 @@ import pytest
 
 import lhgm.model as M
 import lhgm.tensor as T
+import lhgm.train as TR
 from lhgm.distributions import SIGMA_MIN
 from lhgm.model import ModelConfig, ModelWeights, forward, init_weights
 from lhgm.tensor import Tensor
@@ -249,6 +250,20 @@ class TestForwardModes:
             fingerprint, GOLDEN_FINGERPRINT, rtol=0, atol=1e-12, err_msg=f"drifted: {', '.join(drifted)}"
         )
 
+    def test_golden_backward_fixture(self):
+        # Frozen from a verified run: guards every backward closure, from the
+        # mixture likelihoods through the convolutions to the factorized
+        # prior, against drift. Same weights and image as the forward
+        # fixture, one train-mode step at step 0 with noise seed 7.
+        w = init_weights(ModelConfig.tiny(), seed=1234)
+        rng = np.random.default_rng(99)
+        x = Tensor(rng.integers(0, 256, size=(1, 3, 16, 16)).astype(np.float64))
+        with T.GradTape():
+            out = forward(x, w, "train", rng=np.random.default_rng(7))
+            T.backward(TR.loss(out, x, 0, TR.TrainConfig()).total)
+        norms = {name: float(np.linalg.norm(w[name].grad)) for name in GOLDEN_GRAD_NORMS}
+        assert norms == pytest.approx(GOLDEN_GRAD_NORMS, rel=1e-10, abs=0)
+
 
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path, tiny_weights):
@@ -347,6 +362,19 @@ def weights_blob(config, entries, version=M.WEIGHTS_VERSION):
     return out
 
 class TestConfigText:
+    @pytest.mark.parametrize("key,value", [("hidden", "0"), ("hyper_channels", "0"), ("latent_channels", "-2"),
+                                           ("mixture_k", "0"), ("lrelu_slope", "nan"), ("lrelu_slope", "inf")])
+    def test_bad_size_rejected_by_name(self, key, value):
+        text = "".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line + "\n"
+                       for line in ModelConfig.tiny().to_text().splitlines())
+        with pytest.raises(ValueError, match=key):
+            ModelConfig.from_text(text)
+        blob = init_weights(ModelConfig.tiny(), seed=0).serialize()
+        (cfg_len,) = struct.unpack_from("<I", blob, 5)
+        cfg = text.encode("utf-8")
+        with pytest.raises(ValueError, match=key):
+            ModelWeights.deserialize(blob[:5] + struct.pack("<I", len(cfg)) + cfg + blob[9 + cfg_len :])
+
     @pytest.mark.parametrize("config", [ModelConfig(), ModelConfig.tiny(False)], ids=["default", "tiny_no_context"])
     def test_round_trip(self, config):
         assert ModelConfig.from_text(config.to_text()) == config
@@ -377,3 +405,5 @@ GOLDEN_NAMES = ("y_q.sum", "z_q.sum", "pixel_mean.mean", "pixel_scale.mean", "y_
 GOLDEN_FINGERPRINT = np.array(
     [-22.0, 2.0, 104.7284540564374, 14.134343780457462, 0.24880844893197235]
 )
+GOLDEN_GRAD_NORMS = {"ga0.w": 7480.528315604777, "hs1.w": 108.55655951030481, "ctx.w": 3737.3100509828023,
+                     "fu1.b": 182.9026966559009, "gs5.w": 6216.16458361857, "prior.w0": 1.4752083167056098}

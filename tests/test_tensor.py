@@ -14,6 +14,10 @@ from oracles import central_difference_grad, naive_conv2d, naive_conv2d_transpos
 RNG = np.random.default_rng(20240811)
 
 
+def zero_bias(channels):
+    return Tensor(np.zeros(channels))
+
+
 def grad_of(fn, *arrays, h=1e-5):
     """Analytic grads of sum(fn(xs) * R) for each input, plus the FD grads."""
     weights = None
@@ -64,24 +68,24 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError, match="channels"):
-            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+            T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))), zero_bias(1))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
+            T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), zero_bias(1))
 
 
 class TestConvTransposed:
     def test_identity(self):
         x = Tensor(RNG.normal(size=(1, 1, 4, 4)))
         k = Tensor(np.ones((1, 1, 1, 1)))
-        out = T.conv2d_transposed(x, k, stride=1, padding=0)
+        out = T.conv2d_transposed(x, k, zero_bias(1), stride=1, padding=0)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_block_replication_upsampling(self):
         x = np.arange(4.0).reshape(1, 1, 2, 2)
         k = np.ones((1, 1, 2, 2))
-        out = T.conv2d_transposed(Tensor(x), Tensor(k), stride=2, padding=0)
+        out = T.conv2d_transposed(Tensor(x), Tensor(k), zero_bias(1), stride=2, padding=0)
         expected = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
         np.testing.assert_array_equal(out.data, expected)
 
@@ -98,8 +102,8 @@ class TestConvTransposed:
         x = Tensor(RNG.normal(size=(1, 4, 8, 8)))
         k_down = Tensor(RNG.normal(size=(6, 4, 3, 3)))
         k_up = Tensor(RNG.normal(size=(6, 4, 4, 4)))
-        down = T.conv2d(x, k_down, stride=2, padding=1)
-        up = T.conv2d_transposed(down, k_up, stride=2, padding=1)
+        down = T.conv2d(x, k_down, zero_bias(6), stride=2, padding=1)
+        up = T.conv2d_transposed(down, k_up, zero_bias(4), stride=2, padding=1)
         assert up.shape[2:] == x.shape[2:]
 
 
@@ -111,15 +115,15 @@ class TestMaskedConv:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            T.masked_conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))))
+            T.masked_conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), zero_bias(1))
 
     def test_causality_current_position_ignored(self):
         x = RNG.normal(size=(1, 2, 6, 6))
         k = Tensor(RNG.normal(size=(3, 2, 5, 5)))
-        base = T.masked_conv2d(Tensor(x), k).data
+        base = T.masked_conv2d(Tensor(x), k, zero_bias(3)).data
         xp = x.copy()
         xp[0, :, 3, 4] += 10.0
-        bumped = T.masked_conv2d(Tensor(xp), k).data
+        bumped = T.masked_conv2d(Tensor(xp), k, zero_bias(3)).data
         np.testing.assert_array_equal(base[0, :, 3, 4], bumped[0, :, 3, 4])
         # nothing before (3,4) in raster order may move either
         np.testing.assert_array_equal(base[0, :, :3, :], bumped[0, :, :3, :])
@@ -128,10 +132,10 @@ class TestMaskedConv:
     def test_perturbation_reaches_raster_successors(self):
         x = RNG.normal(size=(1, 1, 6, 6))
         k = Tensor(RNG.normal(size=(1, 1, 3, 3)))
-        base = T.masked_conv2d(Tensor(x), k).data
+        base = T.masked_conv2d(Tensor(x), k, zero_bias(1)).data
         xp = x.copy()
         xp[0, 0, 2, 2] += 1.0
-        bumped = T.masked_conv2d(Tensor(xp), k).data
+        bumped = T.masked_conv2d(Tensor(xp), k, zero_bias(1)).data
         # finite-difference probe: the immediate raster successor inside the
         # receptive field must move (kernel entry (1,0)-relative is live)
         assert abs(bumped[0, 0, 2, 3] - base[0, 0, 2, 3]) > 1e-12
@@ -165,6 +169,11 @@ class TestElementwise:
     def test_scalar_broadcast_allowed(self):
         out = T.mul(Tensor(np.ones((2, 2))), 3.0)
         np.testing.assert_array_equal(out.data, np.full((2, 2), 3.0))
+
+    def test_scalar_that_needs_a_gradient_rejected(self):
+        # a 0-d operand against an array is a constant; one that needs a gradient goes through broadcast_to
+        with GradTape(), pytest.raises(ValueError, match="mul"):
+            T.mul(Tensor(np.array(2.0), requires_grad=True), Tensor(np.ones((2, 2))))
 
 
 class TestStdNormalCdf:

@@ -17,6 +17,7 @@ from lhgm.train import (
     MetricsRow,
     TrainConfig,
     adam_step,
+    eligible_images,
     lambda_schedule,
     sample_patches,
     train_loop,
@@ -68,14 +69,26 @@ class TestSamplePatches:
     def test_small_images_skipped(self):
         small = np.full((8, 40, 3), 255, dtype=np.uint8)
         large = np.zeros((20, 24, 3), dtype=np.uint8)
-        out = sample_patches([small, large], patch=16, batch=5, rng=np.random.default_rng(0))
+        eligible = eligible_images([small, large], patch=16)
+        assert len(eligible) == 1 and eligible[0] is large
+        out = sample_patches(eligible, patch=16, batch=5, rng=np.random.default_rng(0))
         assert out.shape == (5, 3, 16, 16)
         assert np.all(out.data == 0.0)
 
     def test_no_eligible_image_raises(self):
         with pytest.raises(ValueError, match="at least 16x16"):
-            sample_patches([np.zeros((8, 40, 3)), np.zeros((15, 15, 3))], patch=16, batch=1,
-                           rng=np.random.default_rng(0))
+            eligible_images([np.zeros((8, 40, 3)), np.zeros((15, 15, 3))], patch=16)
+
+    def test_small_image_logged_once_per_run(self, caplog, monkeypatch):
+        calls, sample = [], TR.sample_patches
+        monkeypatch.setattr(TR, "sample_patches", lambda *args: calls.append(args) or sample(*args))
+        rng = np.random.default_rng(5)
+        corpus = [rng.integers(0, 256, size=(16, 16, 3)), rng.integers(0, 256, size=(40, 40, 3))]
+        config = TrainConfig(steps=5, batch=1, patch=32, log_every=1)
+        with caplog.at_level("WARNING", logger="lhgm.train"):
+            train_loop(config, corpus, model_config=ModelConfig.tiny(context_model=False))
+        assert [r.getMessage() for r in caplog.records] == ["skipping corpus image 0: 16x16 smaller than patch 32"]
+        assert len(calls) == config.steps
 
 
 class TestLoss:

@@ -11,8 +11,10 @@ one process at a time, and the side that runs first alternates from
 pair to pair, so drift of the host falls on both sides alike. The
 output keeps every run and, per workload and metric, the quartiles of
 each side, the number of pairs in which the change is lower, the ties,
-and the failed operations. ``--claim WORKLOAD/METRIC`` names the gain the
-change claims; both names must be in ``BENCHMARK.json``.
+and the failed operations, and a verdict (see ``verdict``) against the
+metric's bound in ``BENCHMARK.json``. ``--claim WORKLOAD/METRIC`` names the
+gain the change claims; both names must be in ``BENCHMARK.json``, and
+``claim_met`` (see ``claim_met``) says whether the runs show it.
 """
 
 from __future__ import annotations
@@ -38,27 +40,72 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(runs: list[dict], metrics: list[str]) -> dict:
-    """Per workload and seed: quartiles of each side, pairs where the change is lower, ties, failures.
+def _worse_by(parent: float, change: float, better: str) -> float:
+    """How much worse ``change`` is than ``parent``; negative when it is better."""
+    return change - parent if better == "lower" else parent - change
 
-    A metric enters a pair only when both of its runs produced it.
+
+def verdict(both: list[tuple[float, float]], better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok`` for one metric's (parent, change) pairs.
+
+    ``bound`` is a fraction of the parent median. ``worse``: the change's
+    median is worse than the parent's by more than the bound.
+    ``unresolved``: the parent's quartile spread is wider than the bound and
+    not every change run beats every parent run. ``ok``: neither.
+    """
+    q1, median, q3 = quartiles([a for a, _ in both])
+    limit = bound * abs(median)
+    if _worse_by(median, quartiles([b for _, b in both])[1], better) > limit:
+        return "worse"
+    if q3 - q1 > limit and not all(_worse_by(a, b, better) < 0 for a, _ in both for _, b in both):
+        return "unresolved"
+    return "ok"
+
+
+def claim_met(both: list[tuple[float, float]], better: str) -> bool:
+    """Whether one metric's (parent, change) pairs show the gain a change claims.
+
+    The change must win at least 9 of every 10 pairs, a tie winning for
+    neither side, and its median must beat the parent's by more than the
+    parent's quartile spread.
+    """
+    wins = sum(_worse_by(a, b, better) < 0 for a, b in both)
+    q1, median, q3 = quartiles([a for a, _ in both])
+    return 10 * wins >= 9 * len(both) and -_worse_by(median, quartiles([b for _, b in both])[1], better) > q3 - q1
+
+
+def _key(run: dict) -> str:
+    return f"{run['workload']}/seed{run['seed']}"
+
+
+def metric_pairs(runs: list[dict], key: str, name: str) -> list[tuple[float, float]]:
+    """(parent, change) values of metric ``name`` in each pair of ``key`` (WORKLOAD/seedS) where both runs have it."""
+    values = {(r["pair"], r["side"]): r["metrics"][name] for r in runs if _key(r) == key and name in r["metrics"]}
+    return [(values[p, "parent"], values[p, "change"]) for p in sorted({p for p, _ in values})
+            if (p, "parent") in values and (p, "change") in values]
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and seed: quartiles of each side, pairs where the change is lower, ties, verdict, failures.
+
+    ``end_to_end`` holds BENCHMARK.json's metric entries (name, better,
+    bound). A metric enters a pair only when both of its runs produced it.
     """
     summary: dict[str, dict] = {}
-    for key in dict.fromkeys(f"{r['workload']}/seed{r['seed']}" for r in runs):
-        mine = [r for r in runs if f"{r['workload']}/seed{r['seed']}" == key]
+    for key in dict.fromkeys(_key(r) for r in runs):
+        mine = [r for r in runs if _key(r) == key]
         sides = {side: {r["pair"]: r for r in mine if r["side"] == side} for side in ("parent", "change")}
-        pairs = sorted(set(sides["parent"]) & set(sides["change"]))
-        entry: dict[str, object] = {"pairs": len(pairs)}
-        for name in metrics:
-            both = [(sides["parent"][p]["metrics"][name], sides["change"][p]["metrics"][name])
-                    for p in pairs if name in sides["parent"][p]["metrics"] and name in sides["change"][p]["metrics"]]
+        entry: dict[str, object] = {"pairs": len(set(sides["parent"]) & set(sides["change"]))}
+        for metric in end_to_end:
+            both = metric_pairs(mine, key, metric["name"])
             if not both:
                 continue
-            entry[name] = {
+            entry[metric["name"]] = {
                 "parent_q1_median_q3": quartiles([a for a, _ in both]),
                 "change_q1_median_q3": quartiles([b for _, b in both]),
                 "change_lower_in": sum(b < a for a, b in both),
                 "ties": sum(b == a for a, b in both),
+                "verdict": verdict(both, metric["better"], metric["bound"]),
             }
         entry["failed"] = {
             "parent": sum(r["failed"] for r in sides["parent"].values()),
@@ -123,7 +170,6 @@ def main() -> int:
 
     parent = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                             check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
-    metrics = [m["name"] for m in spec["end_to_end"]]
     runs: list[dict] = []
     host: dict = {}
     tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
@@ -157,9 +203,13 @@ def main() -> int:
                     "the side that runs first alternates from pair to pair",
         "host": host,
         "claim": claim,
-        "summary": summarize(runs, metrics),
+        "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
+    if claim:
+        better = next(m["better"] for m in spec["end_to_end"] if m["name"] == claim["metric"])
+        both = metric_pairs(runs, f"{claim['workload']}/seed{args.seed}", claim["metric"])
+        out["claim_met"] = bool(both) and claim_met(both, better)
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
 
