@@ -190,42 +190,53 @@ class FactorizedPrior:
     by a sigmoid into a strictly increasing cumulative on (0, 1).
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator):
-        self.channels = channels
+    def __init__(self, tensors: dict[str, Tensor]):
+        """The prior over the entries of ``tensors`` that :meth:`param_shapes` names; others are ignored."""
+        self.channels = tensors["prior.w0"].shape[0]
+        self.tensors = {name: tensors[name] for name in self.param_shapes(self.channels)}
+
+    @staticmethod
+    def param_shapes(channels: int) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every tensor in file order: per stage i a slope matrix
+        ``prior.w{i}``, a bias ``prior.b{i}`` and, below the top stage, a gate ``prior.f{i}``."""
         dims = [1] + [_PRIOR_HIDDEN] * (_PRIOR_DEPTH - 1) + [1]
-        scale = _PRIOR_INIT_SCALE ** (1.0 / _PRIOR_DEPTH)
-        self.matrices: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        self.factors: list[Tensor | None] = []
+        shapes: dict[str, tuple[int, ...]] = {}
         for i in range(_PRIOR_DEPTH):
-            d_in, d_out = dims[i], dims[i + 1]
-            w0 = _softplus_inv(1.0 / (scale * d_out))
-            self.matrices.append(Tensor(np.full((channels, d_out, d_in), w0), requires_grad=True))
-            self.biases.append(Tensor(rng.uniform(-0.5, 0.5, size=(channels, d_out, 1)), requires_grad=True))
-            self.factors.append(
-                Tensor(np.zeros((channels, d_out, 1)), requires_grad=True) if i < _PRIOR_DEPTH - 1 else None
-            )
+            shapes[f"prior.w{i}"] = (channels, dims[i + 1], dims[i])
+            shapes[f"prior.b{i}"] = (channels, dims[i + 1], 1)
+            if i < _PRIOR_DEPTH - 1:
+                shapes[f"prior.f{i}"] = (channels, dims[i + 1], 1)
+        return shapes
+
+    @classmethod
+    def init(cls, channels: int, rng: np.random.Generator) -> "FactorizedPrior":
+        """Fresh prior: equal slopes of total gain _PRIOR_INIT_SCALE, U(-1/2, 1/2) biases, closed gates."""
+        scale = _PRIOR_INIT_SCALE ** (1.0 / _PRIOR_DEPTH)
+        tensors = {}
+        for name, shape in cls.param_shapes(channels).items():
+            if name.startswith("prior.w"):
+                data = np.full(shape, _softplus_inv(1.0 / (scale * shape[1])))
+            elif name.startswith("prior.b"):
+                data = rng.uniform(-0.5, 0.5, size=shape)
+            else:
+                data = np.zeros(shape)
+            tensors[name] = Tensor(data, requires_grad=True)
+        return cls(tensors)
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i in range(_PRIOR_DEPTH):
-            out[f"prior.w{i}"] = self.matrices[i]
-            out[f"prior.b{i}"] = self.biases[i]
-            if self.factors[i] is not None:
-                out[f"prior.f{i}"] = self.factors[i]
-        return out
+        return dict(self.tensors)
 
     def logits(self, t: Tensor) -> Tensor:
         """Monotone pre-sigmoid response for ``t`` of shape [channels, M]."""
         c, m = t.shape
         h = T.reshape(t, (c, 1, m))
         for i in range(_PRIOR_DEPTH):
-            w = self.matrices[i]
+            w = self.tensors[f"prior.w{i}"]
             _, d_out, d_in = w.shape
             sp = T.broadcast_to(T.reshape(T.softplus(w), (c, d_out, d_in, 1)), (c, d_out, d_in, m))
             hb = T.broadcast_to(T.reshape(h, (c, 1, d_in, m)), (c, d_out, d_in, m))
-            a = T.reduce_sum(sp * hb, axis=2) + T.broadcast_to(self.biases[i], (c, d_out, m))
-            f = self.factors[i]
+            a = T.reduce_sum(sp * hb, axis=2) + T.broadcast_to(self.tensors[f"prior.b{i}"], (c, d_out, m))
+            f = self.tensors.get(f"prior.f{i}")
             if f is not None:
                 a = a + T.broadcast_to(T.tanh(f), (c, d_out, m)) * T.tanh(a)
             h = a

@@ -143,17 +143,25 @@ class ModelWeights:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ModelWeights":
-        """Inverse of :meth:`serialize`; a cut, padded or inconsistent blob raises ValueError."""
+        """Inverse of :meth:`serialize`; a cut, padded or inconsistent blob raises ValueError.
+
+        Each tensor's name and shape are checked against :func:`param_shapes`
+        of the blob's config before its values are read, and its values are
+        copied once out of the blob. Besides the blob, a load therefore holds
+        at most the arrays read so far, fewer bytes than the blob, whatever
+        sizes the config text names.
+        """
         if data[:4] != WEIGHTS_MAGIC:
             raise ValueError("not a weights file (bad magic)")
+        view = memoryview(data)
         pos = 4
 
-        def take(size: int) -> bytes:
+        def take(size: int) -> memoryview:
             nonlocal pos
-            if pos + size > len(data):
-                raise ValueError(f"weights file truncated: {len(data)} bytes, needs at least {pos + size}")
+            if pos + size > len(view):
+                raise ValueError(f"weights file truncated: {len(view)} bytes, needs at least {pos + size}")
             pos += size
-            return data[pos - size : pos]
+            return view[pos - size : pos]
 
         def unpack(fmt: str) -> tuple:
             return struct.unpack(fmt, take(struct.calcsize(fmt)))
@@ -162,29 +170,29 @@ class ModelWeights:
         if version != WEIGHTS_VERSION:
             raise ValueError(f"unsupported weights version {version}")
         (cfg_len,) = unpack("<I")
-        config = ModelConfig.from_text(take(cfg_len).decode("utf-8"))
+        config = ModelConfig.from_text(str(take(cfg_len), "utf-8"))
+        shapes = param_shapes(config)
         (count,) = unpack("<I")
-        weights = init_weights(config, seed=0)
-        if count != len(weights.tensors):
-            raise ValueError(f"weights file has {count} tensors, expected {len(weights.tensors)}")
-        loaded = set()
+        if count != len(shapes):
+            raise ValueError(f"weights file has {count} tensors, expected {len(shapes)}")
+        loaded: dict[str, Tensor] = {}
         for _ in range(count):
             (name_len,) = unpack("<H")
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
             (ndim,) = unpack("<B")
             shape = unpack(f"<{ndim}I")
-            arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-            if name not in weights.tensors:
+            if name not in shapes:
                 raise ValueError(f"unexpected tensor {name!r} in weights file")
             if name in loaded:
                 raise ValueError(f"tensor {name!r} appears twice in weights file")
-            if weights.tensors[name].shape != tuple(shape):
-                raise ValueError(f"tensor {name!r} has shape {tuple(shape)}, expected {weights.tensors[name].shape}")
-            weights.tensors[name].data = arr.astype(np.float64).copy()
-            loaded.add(name)
-        if pos != len(data):
-            raise ValueError(f"weights file has {len(data) - pos} trailing bytes")
-        return weights
+            if shape != shapes[name]:
+                raise ValueError(f"tensor {name!r} has shape {shape}, expected {shapes[name]}")
+            arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+            loaded[name] = Tensor(arr.astype(np.float64), requires_grad=True)
+        if pos != len(view):
+            raise ValueError(f"weights file has {len(view) - pos} trailing bytes")
+        tensors = {name: loaded[name] for name in shapes}
+        return cls(config, tensors, FactorizedPrior(tensors))
 
     def save(self, path) -> None:
         with open(path, "wb") as f:
@@ -199,53 +207,78 @@ class ModelWeights:
         return hashlib.sha256(self.serialize()).digest()[:8]
 
 
-def _conv_param(rng, name, tensors, o, c, kh, kw):
-    std = np.sqrt(2.0 / (c * kh * kw))
-    tensors[f"{name}.w"] = Tensor(rng.normal(0.0, std, size=(o, c, kh, kw)), requires_grad=True)
-    tensors[f"{name}.b"] = Tensor(np.zeros(o), requires_grad=True)
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every learnable tensor, in the order of init and of the weights file.
 
+    Each kernel is followed by its bias. A convolution kernel is
+    [out, in, k, k] with odd k; a transposed convolution's is [in, out, 4, 4]
+    (the even 4-tap upsamplers). The factorized prior's tensors come last.
+    """
+    h1, h2 = config.hidden, config.hidden2
+    cy, cz, k = config.latent_channels, config.hyper_channels, config.mixture_k
+    shapes: dict[str, tuple[int, ...]] = {}
 
-def _tconv_param(rng, name, tensors, ci, co, kh, kw):
-    std = np.sqrt(2.0 / (ci * kh * kw))
-    tensors[f"{name}.w"] = Tensor(rng.normal(0.0, std, size=(ci, co, kh, kw)), requires_grad=True)
-    tensors[f"{name}.b"] = Tensor(np.zeros(co), requires_grad=True)
+    def conv(name, o, c, size):
+        shapes[f"{name}.w"] = (o, c, size, size)
+        shapes[f"{name}.b"] = (o,)
+
+    def tconv(name, ci, co):
+        shapes[f"{name}.w"] = (ci, co, 4, 4)
+        shapes[f"{name}.b"] = (co,)
+
+    conv("ga0", h1, 3, 3)
+    conv("ga1", h1, h1, 3)
+    conv("ga2", h2, h1, 3)
+    conv("ga3", h2, h2, 3)
+    conv("ga4", cy, h2, 1)
+
+    conv("ha0", h1, cy, 3)
+    conv("ha1", cz, h1, 3)
+
+    tconv("hs0", cz, h1)
+    tconv("hs1", h1, h1)
+    conv("hh", 3 * k * cy, h1, 1)
+
+    conv("ctx", config.ctx_hidden, cy, 5)
+    conv("fu0", h2, h1 + config.ctx_hidden, 1)
+    conv("fu1", 3 * k * cy, h2, 1)
+
+    conv("gs0", h2, cy, 1)
+    conv("gs1", h2, h2, 3)
+    tconv("gs2", h2, h1)
+    conv("gs3", h1, h1, 3)
+    tconv("gs4", h1, h1)
+    conv("gs5", 3 * k * 3, h1, 1)
+
+    shapes.update(FactorizedPrior.param_shapes(cz))
+    return shapes
 
 
 def init_weights(config: ModelConfig, seed) -> ModelWeights:
-    """Fresh weights; ``seed`` is an int or a numpy SeedSequence."""
+    """Fresh weights; ``seed`` is an int or a numpy SeedSequence.
+
+    Kernels are drawn He-normal over their fan-in, in :func:`param_shapes`
+    order; biases start at 0 except the scale blocks of the three heads;
+    the factorized prior draws last.
+    """
     rng = np.random.default_rng(seed)
-    h1, h2 = config.hidden, config.hidden2
-    cy, cz, k = config.latent_channels, config.hyper_channels, config.mixture_k
     t: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("prior."):
+            continue
+        if name.endswith(".w"):
+            # an even side marks a transposed kernel, whose input channels lead
+            fan_in = (shape[0] if shape[2] % 2 == 0 else shape[1]) * shape[2] * shape[3]
+            data = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        else:
+            data = np.zeros(shape)
+        t[name] = Tensor(data, requires_grad=True)
+    kc = config.mixture_k * config.latent_channels
+    t["hh.b"].data[2 * kc :] = _SCALE_BIAS_Y
+    t["fu1.b"].data[2 * kc :] = _SCALE_BIAS_Y
+    t["gs5.b"].data[2 * config.mixture_k * 3 :] = _SCALE_BIAS_X
 
-    _conv_param(rng, "ga0", t, h1, 3, 3, 3)
-    _conv_param(rng, "ga1", t, h1, h1, 3, 3)
-    _conv_param(rng, "ga2", t, h2, h1, 3, 3)
-    _conv_param(rng, "ga3", t, h2, h2, 3, 3)
-    _conv_param(rng, "ga4", t, cy, h2, 1, 1)
-
-    _conv_param(rng, "ha0", t, h1, cy, 3, 3)
-    _conv_param(rng, "ha1", t, cz, h1, 3, 3)
-
-    _tconv_param(rng, "hs0", t, cz, h1, 4, 4)
-    _tconv_param(rng, "hs1", t, h1, h1, 4, 4)
-    _conv_param(rng, "hh", t, 3 * k * cy, h1, 1, 1)
-    t["hh.b"].data[2 * k * cy :] = _SCALE_BIAS_Y
-
-    _conv_param(rng, "ctx", t, config.ctx_hidden, cy, 5, 5)
-    _conv_param(rng, "fu0", t, h2, h1 + config.ctx_hidden, 1, 1)
-    _conv_param(rng, "fu1", t, 3 * k * cy, h2, 1, 1)
-    t["fu1.b"].data[2 * k * cy :] = _SCALE_BIAS_Y
-
-    _conv_param(rng, "gs0", t, h2, cy, 1, 1)
-    _conv_param(rng, "gs1", t, h2, h2, 3, 3)
-    _tconv_param(rng, "gs2", t, h2, h1, 4, 4)
-    _conv_param(rng, "gs3", t, h1, h1, 3, 3)
-    _tconv_param(rng, "gs4", t, h1, h1, 4, 4)
-    _conv_param(rng, "gs5", t, 3 * k * 3, h1, 1, 1)
-    t["gs5.b"].data[2 * k * 3 :] = _SCALE_BIAS_X
-
-    prior = FactorizedPrior(cz, rng=rng)
+    prior = FactorizedPrior.init(config.hyper_channels, rng)
     t.update(prior.parameters())
     return ModelWeights(config, t, prior)
 

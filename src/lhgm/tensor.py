@@ -8,6 +8,14 @@ operand of its own shape. Any other broadcast is explicit, through
 Gradients are recorded on an explicit :class:`GradTape`; replaying the
 tape in reverse execution order is a valid topological order by
 construction.
+
+Memory contract of training: a record (an op's output, its backward
+closure and the arrays the closure saved) lives from its op until
+backward has run its closure, and is then dropped; the output and its
+gradient survive only if the caller still holds the output. A step's
+peak is therefore the forward's saved set plus the gradients in flight,
+not the whole tape plus every gradient. Ops run without a tape record
+nothing.
 """
 
 from __future__ import annotations
@@ -114,8 +122,11 @@ class GradTape:
     """Ordered record of executed ops with their backward closures.
 
     Used as a context manager; ops executed while a tape is active append
-    (output, closure) records when any input requires a gradient. The tape
-    is cleared after :meth:`backward`.
+    (output, closure) records when any input requires a gradient.
+    :meth:`backward` pops the records newest first and runs each closure,
+    so a record is freed as soon as its closure has run. It drops the
+    records that are left when a closure raises, and leaving the context
+    drops any record no backward consumed.
     """
 
     def __init__(self):
@@ -126,6 +137,7 @@ class GradTape:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        self._records.clear()
         popped = _TAPES.pop()
         if popped is not self:
             raise RuntimeError("GradTape stack corrupted (nested exit out of order)")
@@ -137,10 +149,14 @@ class GradTape:
         if loss.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
-            if out.grad is not None:
-                fn(out.grad)
-        self._records.clear()
+        records = self._records
+        try:
+            while records:
+                out, fn = records.pop()
+                if out.grad is not None:
+                    fn(out.grad)
+        finally:
+            records.clear()
 
 
 _TAPES: list[GradTape] = []

@@ -274,7 +274,7 @@ class TestMixture:
 
 class TestFactorizedPrior:
     def test_fresh_prior_is_normalized_and_positive(self):
-        prior = FactorizedPrior(channels=4, rng=np.random.default_rng(3))
+        prior = FactorizedPrior.init(channels=4, rng=np.random.default_rng(3))
         alpha = Alphabet(-30, 30)
         pmf = prior.pmf(alpha)
         assert (pmf > 0).all()
@@ -289,7 +289,7 @@ class TestFactorizedPrior:
     @pytest.mark.parametrize("seed", [4, 13, 27])
     def test_fold_matches_blend_reference_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
-        prior = FactorizedPrior(channels=3, rng=rng)
+        prior = FactorizedPrior.init(channels=3, rng=rng)
         for p in prior.parameters().values():
             p.data = p.data + rng.normal(scale=0.5, size=p.shape)
         alpha = Alphabet(-4, 6)
@@ -306,7 +306,7 @@ class TestFactorizedPrior:
         # one where the blend reference rounds to 1 - 2^-53 at value 0. The
         # slopes are those of a prior whose four stages scale by 0.3 ** (1/4)
         # each, against 10 ** (1/4) in the fresh one.
-        prior = FactorizedPrior(channels=8, rng=np.random.default_rng(2))
+        prior = FactorizedPrior.init(channels=8, rng=np.random.default_rng(2))
         for name, w in prior.parameters().items():
             if name.startswith("prior.w"):
                 w.data[...] = np.log(np.expm1(1.0 / (0.3 ** (1.0 / 4) * w.shape[1])))
@@ -316,7 +316,7 @@ class TestFactorizedPrior:
             np.testing.assert_array_equal(prior.pmf(Alphabet(a, a)), np.ones((8, 1)))
 
     def test_cumulative_monotone(self):
-        prior = FactorizedPrior(channels=2, rng=np.random.default_rng(5))
+        prior = FactorizedPrior.init(channels=2, rng=np.random.default_rng(5))
         v = np.tile(np.linspace(-20, 20, 201), (2, 1))
         c = prior.cumulative(Tensor(v)).data
         assert (np.diff(c, axis=1) >= 0).all()
@@ -331,7 +331,7 @@ class TestFactorizedPrior:
         true_p = np.array([gaussian_bin_prob(v, 0.0, 2.0, lo=alpha.lo, hi=alpha.hi) for v in values])
         true_nll = -np.sum(counts * np.log2(true_p)) / counts.sum()
 
-        prior = FactorizedPrior(channels=1, rng=np.random.default_rng(1))
+        prior = FactorizedPrior.init(channels=1, rng=np.random.default_rng(1))
         params = list(prior.parameters().values())
         weights_c = Tensor(counts[None, :].astype(np.float64))
         v = Tensor(values[None, :])
@@ -377,7 +377,7 @@ class TestRateBits:
         assert abs(bits - manual) < 1e-10
 
     def test_prior_rate_matches_manual(self):
-        prior = FactorizedPrior(channels=2, rng=np.random.default_rng(9))
+        prior = FactorizedPrior.init(channels=2, rng=np.random.default_rng(9))
         v = Tensor(np.round(RNG.normal(size=(1, 2, 3, 3)) * 2))
         bits = D.rate_bits(prior, v, None).item()
         flat = v.data.transpose(1, 0, 2, 3).reshape(2, -1)
@@ -443,7 +443,7 @@ class TestGradients:
     def test_factorized_prior_gradients(self):
         from oracles import central_difference_grad
 
-        prior = FactorizedPrior(channels=1, rng=np.random.default_rng(2))
+        prior = FactorizedPrior.init(channels=1, rng=np.random.default_rng(2))
         names = list(prior.parameters())
         v = np.round(RNG.normal(size=(1, 6)) * 3)
         mix = RNG.normal(size=(1, 6))

@@ -1,6 +1,8 @@
 """Hyperprior model: shapes, quantization, causality, serialization."""
 
+import hashlib
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +277,39 @@ class TestSerialization:
         for name, t in tiny_weights.tensors.items():
             assert np.array_equal(t.data, loaded.tensors[name].data), name
         assert loaded.digest8() == tiny_weights.digest8()
+
+    @pytest.mark.parametrize("source", ["default", "tiny", "default_ctx.lhgw", "tiny_hyper.lhgw"])
+    def test_round_trip_keeps_digest(self, source):
+        if source.endswith(".lhgw"):
+            blob = (Path(__file__).resolve().parents[1] / "perfbench" / "weights" / source).read_bytes()
+            digest = hashlib.sha256(blob).digest()[:8]
+        else:
+            weights = init_weights(ModelConfig() if source == "default" else ModelConfig.tiny(), seed=0)
+            blob, digest = weights.serialize(), weights.digest8()
+        loaded = ModelWeights.deserialize(blob)
+        assert loaded.digest8() == digest
+        assert {name: t.shape for name, t in loaded.tensors.items()} == M.param_shapes(loaded.config)
+        assert list(loaded.tensors) == list(M.param_shapes(loaded.config))
+        for name, t in loaded.prior.parameters().items():
+            assert loaded.tensors[name] is t
+
+    def test_oversized_config_rejected_within_the_blob_size(self):
+        # the config text names hidden2 = 1000 over tiny's tensors: the load
+        # must fail on ga2.w without first building a 1000-wide model
+        blob = init_weights(ModelConfig.tiny(), seed=0).serialize()
+        (cfg_len,) = struct.unpack_from("<I", blob, 5)
+        cfg = blob[9 : 9 + cfg_len]
+        assert b"hidden2 = 16\n" in cfg
+        cfg = cfg.replace(b"hidden2 = 16\n", b"hidden2 = 1000\n")
+        bad = blob[:5] + struct.pack("<I", len(cfg)) + cfg + blob[9 + cfg_len :]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"'ga2.w' has shape \(16, 8, 3, 3\), expected \(1000, 8, 3, 3\)"):
+                ModelWeights.deserialize(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(bad), f"peak {peak} B for a {len(bad)}-byte blob"
 
     def test_prior_tensors_shared_with_dict(self, tiny_weights):
         # the optimizer walks the dict; the prior must see the same objects

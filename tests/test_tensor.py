@@ -1,5 +1,6 @@
 """Tensor engine: op semantics, naive-loop conv oracle, and gradient checks."""
 
+import tracemalloc
 import warnings
 
 import mpmath
@@ -253,6 +254,53 @@ class TestBackward:
             loss = T.reduce_sum(x * x)
             T.backward(loss)
             assert tape._records == []
+
+    def test_tape_cleared_when_a_closure_raises(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+
+        def failing_bwd(g):
+            raise FloatingPointError("closure failed")
+
+        with GradTape() as tape:
+            y = x * 2.0
+            tape.record(y, failing_bwd)
+            loss = T.reduce_sum(y * y)
+            with pytest.raises(FloatingPointError, match="closure failed"):
+                T.backward(loss)
+            assert tape._records == []
+
+    def test_tape_cleared_on_exit_without_backward(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            with GradTape() as tape:
+                T.reduce_sum(T.tanh(x * x))
+                assert len(tape._records) == 3
+                raise RuntimeError("forward failed")
+        assert tape._records == []
+
+    def test_backward_releases_each_record_after_its_closure(self):
+        # 16 tanh ops on 2**17 float64 (1 MiB per array): holding the whole
+        # tape and every gradient until the end peaks near 18 MiB above the
+        # forward; releasing each record after its closure keeps the peak
+        # to the few arrays in flight
+        mib = 2**20
+        x = Tensor(RNG.normal(size=2**17), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with GradTape():
+                h = x
+                for _ in range(16):
+                    h = T.tanh(h)
+                loss = T.reduce_sum(h)
+                del h
+                held, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                T.backward(loss)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None
+        assert peak - held <= 4 * mib, f"backward peaked {(peak - held) / mib:.1f} MiB above the forward"
 
     def test_reuse_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
