@@ -223,9 +223,6 @@ class FactorizedPrior:
             tensors[name] = Tensor(data, requires_grad=True)
         return cls(tensors)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.tensors)
-
     def logits(self, t: Tensor) -> Tensor:
         """Monotone pre-sigmoid response for ``t`` of shape [channels, M]."""
         c, m = t.shape

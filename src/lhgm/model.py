@@ -69,7 +69,7 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        """Inverse of :meth:`to_text`: one ``key = value`` line for every field, each exactly once."""
+        """Inverse of :meth:`to_text`: one ``key = value`` line for every field, in to_text's order and spelling."""
         kwargs = {}
         types = {f.name: f.type for f in fields(cls)}
         for line in text.splitlines():
@@ -91,7 +91,10 @@ class ModelConfig:
         missing = [name for name in types if name not in kwargs]
         if missing:
             raise ValueError(f"model config lacks {', '.join(missing)}")
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if config.to_text() != text:
+            raise ValueError("model config text is not in to_text order and spelling")
+        return config
 
 
 @dataclass
@@ -110,18 +113,15 @@ class ForwardOutputs:
 
 
 class ModelWeights:
-    """All learnable tensors, keyed by layer name, plus the factorized prior."""
+    """All learnable tensors, keyed by layer name, and the factorized prior it builds from their ``prior.*`` ones."""
 
-    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor], prior: FactorizedPrior):
+    def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
         self.config = config
         self.tensors = tensors
-        self.prior = prior
+        self.prior = FactorizedPrior(tensors)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
-
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self.tensors)
 
     def serialize(self) -> bytes:
         out = bytearray()
@@ -145,11 +145,13 @@ class ModelWeights:
     def deserialize(cls, data: bytes) -> "ModelWeights":
         """Inverse of :meth:`serialize`; a cut, padded or inconsistent blob raises ValueError.
 
-        Each tensor's name and shape are checked against :func:`param_shapes`
-        of the blob's config before its values are read, and its values are
-        copied once out of the blob. Besides the blob, a load therefore holds
-        at most the arrays read so far, fewer bytes than the blob, whatever
-        sizes the config text names.
+        The file holds the tensors of :func:`param_shapes` of the blob's
+        config, in that order. Each tensor's name and shape must equal the
+        expected pair before its values are read, and its values are copied
+        once out of the blob. Besides the blob, a load therefore holds at
+        most the arrays read so far, fewer bytes than the blob, whatever
+        sizes the config text names. An accepted blob is the
+        :meth:`serialize` of the weights it loads to.
         """
         if data[:4] != WEIGHTS_MAGIC:
             raise ValueError("not a weights file (bad magic)")
@@ -175,33 +177,24 @@ class ModelWeights:
         (count,) = unpack("<I")
         if count != len(shapes):
             raise ValueError(f"weights file has {count} tensors, expected {len(shapes)}")
-        loaded: dict[str, Tensor] = {}
-        for _ in range(count):
+        tensors: dict[str, Tensor] = {}
+        for i, (want_name, want_shape) in enumerate(shapes.items()):
             (name_len,) = unpack("<H")
             name = str(take(name_len), "utf-8")
             (ndim,) = unpack("<B")
             shape = unpack(f"<{ndim}I")
-            if name not in shapes:
-                raise ValueError(f"unexpected tensor {name!r} in weights file")
-            if name in loaded:
-                raise ValueError(f"tensor {name!r} appears twice in weights file")
-            if shape != shapes[name]:
-                raise ValueError(f"tensor {name!r} has shape {shape}, expected {shapes[name]}")
+            if (name, shape) != (want_name, want_shape):
+                raise ValueError(f"weights file tensor {i} is {name!r} of shape {shape}, "
+                                 f"expected {want_name!r} of shape {want_shape}")
             arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-            loaded[name] = Tensor(arr.astype(np.float64), requires_grad=True)
+            tensors[name] = Tensor(arr.astype(np.float64), requires_grad=True)
         if pos != len(view):
             raise ValueError(f"weights file has {len(view) - pos} trailing bytes")
-        tensors = {name: loaded[name] for name in shapes}
-        return cls(config, tensors, FactorizedPrior(tensors))
+        return cls(config, tensors)
 
     def save(self, path) -> None:
         with open(path, "wb") as f:
             f.write(self.serialize())
-
-    @classmethod
-    def load(cls, path) -> "ModelWeights":
-        with open(path, "rb") as f:
-            return cls.deserialize(f.read())
 
     def digest8(self) -> bytes:
         return hashlib.sha256(self.serialize()).digest()[:8]
@@ -278,9 +271,8 @@ def init_weights(config: ModelConfig, seed) -> ModelWeights:
     t["fu1.b"].data[2 * kc :] = _SCALE_BIAS_Y
     t["gs5.b"].data[2 * config.mixture_k * 3 :] = _SCALE_BIAS_X
 
-    prior = FactorizedPrior.init(config.hyper_channels, rng)
-    t.update(prior.parameters())
-    return ModelWeights(config, t, prior)
+    t.update(FactorizedPrior.init(config.hyper_channels, rng).tensors)
+    return ModelWeights(config, t)
 
 
 def _lrelu(x: Tensor, w: ModelWeights) -> Tensor:
@@ -394,8 +386,8 @@ def quantize_train(v: Tensor, rng: np.random.Generator) -> Tensor:
 
 
 def quantize_infer(v: Tensor) -> Tensor:
-    """Deterministic rounding, ties away from zero (must match the coder)."""
-    return Tensor(T.round_half_away(v.data))
+    """Deterministic rounding, ties away from zero (2.5 -> 3, -2.5 -> -3); must match the coder."""
+    return Tensor(np.copysign(np.floor(np.abs(v.data) + 0.5), v.data))
 
 
 def forward(x: Tensor, w: ModelWeights, mode: str, rng: np.random.Generator | None = None) -> ForwardOutputs:

@@ -5,9 +5,9 @@ Every array is float64 and layout is row-major NCHW. Ops take Tensors.
 which is a constant; a 0-d operand that needs a gradient must meet an
 operand of its own shape. Any other broadcast is explicit, through
 ``broadcast_to``, whose backward sums. Every convolution has a bias.
-Gradients are recorded on an explicit :class:`GradTape`; replaying the
-tape in reverse execution order is a valid topological order by
-construction.
+Gradients are recorded on an explicit :class:`GradTape`, of which at most
+one is active: entering a second raises. Replaying the tape in reverse
+execution order is a valid topological order by construction.
 
 Memory contract of training: a record (an op's output, its backward
 closure and the arrays the closure saved) lives from its op until
@@ -40,7 +40,6 @@ __all__ = [
     "sigmoid",
     "softmax",
     "reduce_sum",
-    "round_half_away",
     "std_normal_cdf",
     "reshape",
     "permute",
@@ -121,9 +120,10 @@ def as_tensor(x) -> Tensor:
 class GradTape:
     """Ordered record of executed ops with their backward closures.
 
-    Used as a context manager; ops executed while a tape is active append
-    (output, closure) records when any input requires a gradient.
-    :meth:`backward` pops the records newest first and runs each closure,
+    Used as a context manager, one at a time: entering a tape while another
+    is active raises RuntimeError. Ops executed while the tape is active
+    append (output, closure) records when any input requires a gradient.
+    :func:`backward` pops the records newest first and runs each closure,
     so a record is freed as soon as its closure has run. It drops the
     records that are left when a closure raises, and leaving the context
     drops any record no backward consumed.
@@ -133,55 +133,48 @@ class GradTape:
         self._records: list[tuple[Tensor, object]] = []
 
     def __enter__(self) -> "GradTape":
-        _TAPES.append(self)
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise RuntimeError("a GradTape is already active; tapes do not nest")
+        _ACTIVE = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        global _ACTIVE
         self._records.clear()
-        popped = _TAPES.pop()
-        if popped is not self:
-            raise RuntimeError("GradTape stack corrupted (nested exit out of order)")
+        _ACTIVE = None
 
     def record(self, out: Tensor, backward_fn) -> None:
         self._records.append((out, backward_fn))
 
-    def backward(self, loss: Tensor) -> None:
-        if loss.size != 1:
-            raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-        loss.grad = np.ones_like(loss.data)
-        records = self._records
-        try:
-            while records:
-                out, fn = records.pop()
-                if out.grad is not None:
-                    fn(out.grad)
-        finally:
-            records.clear()
 
-
-_TAPES: list[GradTape] = []
-
-
-def _active_tape() -> GradTape | None:
-    return _TAPES[-1] if _TAPES else None
+_ACTIVE: GradTape | None = None
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from ``loss``."""
-    tape = _active_tape()
-    if tape is None:
+    """Populate grads of every requires_grad tensor reachable from ``loss`` on the active tape."""
+    if _ACTIVE is None:
         raise RuntimeError("backward() called with no active GradTape")
-    tape.backward(loss)
+    if loss.size != 1:
+        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    loss.grad = np.ones_like(loss.data)
+    records = _ACTIVE._records
+    try:
+        while records:
+            out, fn = records.pop()
+            if out.grad is not None:
+                fn(out.grad)
+    finally:
+        records.clear()
 
 
 def _make_out(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     # A one-input op's closure is recorded only when its input requires a
     # gradient, so it needs no guard; ops with several inputs check each one.
     out = Tensor(data)
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _ACTIVE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.record(out, backward_fn)
+        _ACTIVE.record(out, backward_fn)
     return out
 
 
@@ -340,11 +333,6 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return _make_out(data, (x,), bwd)
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest integer, ties away from zero (2.5 -> 3, -2.5 -> -3)."""
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
-
-
 def std_normal_cdf(x: Tensor) -> Tensor:
     """Standard normal CDF, elementwise; absolute error well under 1e-12."""
     data = ndtr(x.data)
@@ -382,18 +370,17 @@ def permute(x: Tensor, axes) -> Tensor:
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
-    """Explicit broadcast, a read-only view; gradient sums over the expanded axes."""
+    """Same-rank broadcast (size-1 axes expand), a read-only view; gradient sums over the expanded axes."""
     shape = tuple(shape)
+    if len(shape) != x.ndim:
+        raise ValueError(f"broadcast_to: {x.shape} to {shape} changes rank; reshape first")
     data = np.broadcast_to(x.data, shape)
 
     def bwd(g):
-        gg = g
-        while gg.ndim > x.ndim:
-            gg = gg.sum(axis=0)
-        for i, (gd, xd) in enumerate(zip(gg.shape, x.shape)):
+        for i, (gd, xd) in enumerate(zip(g.shape, x.shape)):
             if xd == 1 and gd != 1:
-                gg = gg.sum(axis=i, keepdims=True)
-        x.accumulate_grad(gg)
+                g = g.sum(axis=i, keepdims=True)
+        x.accumulate_grad(g)
 
     return _make_out(data, (x,), bwd)
 

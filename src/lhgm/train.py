@@ -16,6 +16,7 @@ actually traverse parameter space; see the config docstring.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -51,6 +52,12 @@ class TrainConfig:
     lr_switch_step: int = 4200
     seed: int = 0
     log_every: int = 50
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, least = getattr(self, f.name), 1 if f.name in ("steps", "batch", "patch", "log_every") else 0
+            if not (math.isfinite(value) and value >= least):
+                raise ValueError(f"train config {f.name} must be finite and >= {least}, got {value}")
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
@@ -144,9 +151,9 @@ def eligible_images(corpus, patch: int) -> list:
     """The corpus images that hold a patch x patch crop, with a warning for each one too small; all must be RGB."""
     eligible = []
     for i, img in enumerate(corpus):
-        h, w, c = img.shape
-        if c != 3:
+        if img.ndim != 3 or img.shape[2] != 3:
             raise ValueError(f"corpus image {i} is not RGB")
+        h, w, _ = img.shape
         if h >= patch and w >= patch:
             eligible.append(img)
         else:
@@ -183,19 +190,6 @@ class MetricsRow:
     grad_norm: float  # global L2 norm of this step's gradients
     wall_time: float
 
-    def csv_line(self) -> str:
-        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
-
-
-METRICS_HEADER = ",".join(f.name for f in fields(MetricsRow))
-
-
-def write_metrics(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write(METRICS_HEADER + "\n")
-        for row in rows:
-            f.write(row.csv_line() + "\n")
-
 
 def train_loop(
     config: TrainConfig,
@@ -217,7 +211,7 @@ def train_loop(
     crop_rng = np.random.default_rng(crop_seq)
     noise_rng = np.random.default_rng(noise_seq)
 
-    params = weights.parameters()
+    params = weights.tensors
     state = AdamState.init(params)
     metrics: list[MetricsRow] = []
     start = time.monotonic()

@@ -290,7 +290,7 @@ class TestFactorizedPrior:
     def test_fold_matches_blend_reference_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
         prior = FactorizedPrior.init(channels=3, rng=rng)
-        for p in prior.parameters().values():
+        for p in prior.tensors.values():
             p.data = p.data + rng.normal(scale=0.5, size=p.shape)
         alpha = Alphabet(-4, 6)
         # every channel holds values on lo, on hi and in the interior
@@ -307,7 +307,7 @@ class TestFactorizedPrior:
         # slopes are those of a prior whose four stages scale by 0.3 ** (1/4)
         # each, against 10 ** (1/4) in the fresh one.
         prior = FactorizedPrior.init(channels=8, rng=np.random.default_rng(2))
-        for name, w in prior.parameters().items():
+        for name, w in prior.tensors.items():
             if name.startswith("prior.w"):
                 w.data[...] = np.log(np.expm1(1.0 / (0.3 ** (1.0 / 4) * w.shape[1])))
         zero = Alphabet(0, 0)
@@ -332,7 +332,7 @@ class TestFactorizedPrior:
         true_nll = -np.sum(counts * np.log2(true_p)) / counts.sum()
 
         prior = FactorizedPrior.init(channels=1, rng=np.random.default_rng(1))
-        params = list(prior.parameters().values())
+        params = list(prior.tensors.values())
         weights_c = Tensor(counts[None, :].astype(np.float64))
         v = Tensor(values[None, :])
         # small Adam loop (test-local optimizer, independent of the trainer)
@@ -444,11 +444,11 @@ class TestGradients:
         from oracles import central_difference_grad
 
         prior = FactorizedPrior.init(channels=1, rng=np.random.default_rng(2))
-        names = list(prior.parameters())
+        names = list(prior.tensors)
         v = np.round(RNG.normal(size=(1, 6)) * 3)
         mix = RNG.normal(size=(1, 6))
 
-        params = prior.parameters()
+        params = prior.tensors
         with GradTape():
             p = prior.prob(Tensor(v), WIDE)
             T.backward(T.reduce_sum(p * Tensor(mix)))

@@ -267,31 +267,64 @@ class TestForwardModes:
         assert norms == pytest.approx(GOLDEN_GRAD_NORMS, rel=1e-10, abs=0)
 
 
+BLOB_SOURCES = ["default", "tiny", "default_ctx.lhgw", "tiny_hyper.lhgw"]
+
+
+def source_blob(source):
+    """A committed weights file, read only, or the serialization of seed-0 init_weights."""
+    if source.endswith(".lhgw"):
+        return (Path(__file__).resolve().parents[1] / "perfbench" / "weights" / source).read_bytes()
+    return init_weights(ModelConfig() if source == "default" else ModelConfig.tiny(), seed=0).serialize()
+
+
 class TestSerialization:
     def test_round_trip_bitwise(self, tmp_path, tiny_weights):
         path = tmp_path / "w.lhgw"
         tiny_weights.save(path)
-        loaded = ModelWeights.load(path)
+        loaded = ModelWeights.deserialize(path.read_bytes())
         assert loaded.config == tiny_weights.config
         assert set(loaded.tensors) == set(tiny_weights.tensors)
         for name, t in tiny_weights.tensors.items():
             assert np.array_equal(t.data, loaded.tensors[name].data), name
         assert loaded.digest8() == tiny_weights.digest8()
 
-    @pytest.mark.parametrize("source", ["default", "tiny", "default_ctx.lhgw", "tiny_hyper.lhgw"])
+    @pytest.mark.parametrize("source", BLOB_SOURCES)
     def test_round_trip_keeps_digest(self, source):
-        if source.endswith(".lhgw"):
-            blob = (Path(__file__).resolve().parents[1] / "perfbench" / "weights" / source).read_bytes()
-            digest = hashlib.sha256(blob).digest()[:8]
-        else:
-            weights = init_weights(ModelConfig() if source == "default" else ModelConfig.tiny(), seed=0)
-            blob, digest = weights.serialize(), weights.digest8()
+        blob = source_blob(source)
         loaded = ModelWeights.deserialize(blob)
-        assert loaded.digest8() == digest
+        assert loaded.digest8() == hashlib.sha256(blob).digest()[:8]
         assert {name: t.shape for name, t in loaded.tensors.items()} == M.param_shapes(loaded.config)
         assert list(loaded.tensors) == list(M.param_shapes(loaded.config))
-        for name, t in loaded.prior.parameters().items():
+        for name, t in loaded.prior.tensors.items():
             assert loaded.tensors[name] is t
+
+    @pytest.mark.parametrize("source", BLOB_SOURCES)
+    def test_every_accepted_blob_is_the_serialization_of_its_weights(self, source):
+        # the same tensors and config in another order or spelling must raise:
+        # a blob that loaded would share its digest8 with the canonical file
+        blob = source_blob(source)
+        weights = ModelWeights.deserialize(blob)
+        assert weights.serialize() == blob
+        entries = list(weights.tensors.items())
+        (cfg_len,) = struct.unpack_from("<I", blob, 5)
+        cfg = blob[9 : 9 + cfg_len]
+        lines = cfg.splitlines(keepends=True)
+        assert lines[0].startswith(b"hidden = ")
+        variants = [weights_blob(weights.config, entries[1::-1] + entries[2:]),  # first two tensors swapped
+                    weights_blob(weights.config, entries[:-2] + entries[:-3:-1])]  # last two tensors swapped
+        for edited in (b"".join(lines[1:] + lines[:1]), cfg.replace(b"hidden = ", b"hidden = 0", 1)):
+            variants.append(blob[:5] + struct.pack("<I", len(edited)) + edited + blob[9 + cfg_len :])
+        for variant in variants:
+            with pytest.raises(ValueError):
+                ModelWeights.deserialize(variant)
+
+    def test_swapped_tensors_rejected_by_name(self, tiny_weights):
+        entries = list(tiny_weights.tensors.items())
+        entries[0], entries[1] = entries[1], entries[0]
+        blob = weights_blob(tiny_weights.config, entries)
+        message = r"tensor 0 is 'ga0.b' of shape \(8,\), expected 'ga0.w' of shape \(8, 3, 3, 3\)"
+        with pytest.raises(ValueError, match=message):
+            ModelWeights.deserialize(blob)
 
     def test_oversized_config_rejected_within_the_blob_size(self):
         # the config text names hidden2 = 1000 over tiny's tensors: the load
@@ -304,7 +337,8 @@ class TestSerialization:
         bad = blob[:5] + struct.pack("<I", len(cfg)) + cfg + blob[9 + cfg_len :]
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=r"'ga2.w' has shape \(16, 8, 3, 3\), expected \(1000, 8, 3, 3\)"):
+            with pytest.raises(ValueError, match=r"'ga2.w' of shape \(16, 8, 3, 3\), "
+                                                  r"expected 'ga2.w' of shape \(1000, 8, 3, 3\)"):
                 ModelWeights.deserialize(bad)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -313,7 +347,7 @@ class TestSerialization:
 
     def test_prior_tensors_shared_with_dict(self, tiny_weights):
         # the optimizer walks the dict; the prior must see the same objects
-        for name, t in tiny_weights.prior.parameters().items():
+        for name, t in tiny_weights.prior.tensors.items():
             assert tiny_weights.tensors[name] is t
 
     def test_bad_magic_rejected(self):
@@ -369,8 +403,8 @@ class TestSerialization:
     @pytest.mark.parametrize("defect,message", [
         ("version", "version 2"),
         ("count", "has 1 tensors"),
-        ("name", "unexpected tensor 'ga9.b'"),
-        ("shape", r"'ga0.b' has shape \(9,\)"),
+        pytest.param("name", r"tensor 1 is 'ga9.b' of shape \(8,\), expected 'ga0.b' of shape \(8,\)", id="name"),
+        pytest.param("shape", r"tensor 1 is 'ga0.b' of shape \(9,\), expected 'ga0.b' of shape \(8,\)", id="shape"),
     ])
     def test_inconsistent_blob_rejected(self, tiny_weights, defect, message):
         entries = list(tiny_weights.tensors.items())
@@ -430,6 +464,14 @@ class TestConfigText:
     def test_only_lines_to_text_writes_accepted(self, extra):
         with pytest.raises(ValueError):
             ModelConfig.from_text(extra + ModelConfig().to_text())
+
+    @pytest.mark.parametrize("edit", ["reorder", "spelling"])
+    def test_only_to_text_order_and_spelling_accepted(self, edit):
+        text = ModelConfig().to_text()
+        lines = text.splitlines(keepends=True)
+        edited = "".join(lines[1:] + lines[:1]) if edit == "reorder" else text.replace("hidden = 32", "hidden = 032")
+        with pytest.raises(ValueError, match="to_text order and spelling"):
+            ModelConfig.from_text(edited)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

@@ -248,6 +248,17 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="GradTape"):
             T.backward(Tensor(np.array(1.0)))
 
+    def test_nested_tape_rejected(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with GradTape():
+            with pytest.raises(RuntimeError, match="already active"):
+                with GradTape():
+                    pass
+            T.backward(T.reduce_sum(x * x))
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+        with GradTape():
+            assert (x * x).requires_grad
+
     def test_tape_cleared_after_backward(self):
         x = Tensor(np.ones(2), requires_grad=True)
         with GradTape() as tape:
@@ -333,6 +344,10 @@ class TestBackward:
             T.backward(T.reduce_sum(x * 2.0) + T.reduce_sum(x))
         np.testing.assert_array_equal(x.grad, np.full((3, 4), 3.0))
         assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+
+    def test_broadcast_to_keeps_rank(self):
+        with pytest.raises(ValueError, match=r"broadcast_to: \(4,\) to \(3, 4\) changes rank"):
+            T.broadcast_to(Tensor(np.ones(4)), (3, 4))
 
     def test_narrow_and_broadcast_to_return_views(self):
         x = Tensor(RNG.normal(size=(3, 4)))

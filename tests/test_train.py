@@ -1,6 +1,5 @@
 """Trainer: Adam against the hand-rolled recursion, schedules, patch sampling, reproducibility."""
 
-import csv
 import dataclasses
 
 import numpy as np
@@ -12,16 +11,13 @@ from lhgm.errors import TrainingDivergedError
 from lhgm.model import ModelConfig
 from lhgm.tensor import Tensor
 from lhgm.train import (
-    METRICS_HEADER,
     AdamState,
-    MetricsRow,
     TrainConfig,
     adam_step,
     eligible_images,
     lambda_schedule,
     sample_patches,
     train_loop,
-    write_metrics,
 )
 
 from oracles import adam_recursion
@@ -65,7 +61,20 @@ class TestLambdaSchedule:
         assert lambda_schedule(10, config) == 0.0
 
 
+@pytest.mark.parametrize("field,value", [("steps", 0), ("batch", 0), ("patch", 0), ("log_every", 0),
+                                         ("warmup_steps", -1), ("lr_switch_step", -1), ("lr", np.nan),
+                                         ("lr", -1e-3), ("lr_final", np.inf), ("lambda_warm", np.nan), ("seed", -1)])
+def test_bad_train_config_rejected_by_name(field, value):
+    with pytest.raises(ValueError, match=f"train config {field} must be"):
+        TrainConfig(**{field: value})
+
+
 class TestSamplePatches:
+    @pytest.mark.parametrize("shape", [(20, 24), (20, 24, 4), (20, 24, 3, 1)])
+    def test_non_rgb_image_rejected_by_index(self, shape):
+        with pytest.raises(ValueError, match="corpus image 1 is not RGB"):
+            eligible_images([np.zeros((20, 24, 3)), np.zeros(shape)], patch=16)
+
     def test_small_images_skipped(self):
         small = np.full((8, 40, 3), 255, dtype=np.uint8)
         large = np.zeros((20, 24, 3), dtype=np.uint8)
@@ -128,20 +137,6 @@ class TestTrainLoop:
         assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0 for r in rows1)
         for r in rows1:
             assert r.total == pytest.approx(r.rate_x + r.rate_y + r.rate_z + r.lam * (r.l2_x + r.l2_y), rel=1e-12)
-
-    def test_write_metrics_parses_back(self, tmp_path):
-        rows = [MetricsRow(step=s, rate_x=1.5 + s, rate_y=0.25, rate_z=1 / 3, l2_x=0.1, l2_y=0.2, lam=0.6,
-                           total=2.0, floor_hits=s, skipped=2 * s, grad_norm=1e3 / 7 + s, wall_time=0.01 * s)
-                for s in range(3)]
-        path = tmp_path / "metrics.csv"
-        write_metrics(rows, path)
-        with open(path, newline="") as f:
-            table = list(csv.reader(f))
-        assert table[0] == METRICS_HEADER.split(",") == [f.name for f in dataclasses.fields(MetricsRow)]
-        assert len(table) == 1 + len(rows)
-        for row, line in zip(rows, table[1:]):
-            assert int(line[0]) == row.step
-            assert [float(v) for v in line[1:]] == [getattr(row, f.name) for f in dataclasses.fields(row)][1:]
 
 
 class TestTrainingObservability:
