@@ -20,6 +20,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -38,9 +39,24 @@ _SCALE_BIAS_X = float(np.log(np.expm1(8.0 / _SCALE_SPAN_X)))
 _SCALE_BIAS_Y = float(np.log(np.expm1(1.0)))
 
 
+FIELD_TYPES = {"int": int, "float": float, "bool": bool}  # by the annotation of a config field
+
+
+def check_fields(config, label: str, least: dict[str, int]) -> None:
+    """The field rule of both configs: each field holds exactly its declared type (so an int field takes
+    no bool), and each int or float field is finite and at least ``least[name]`` when ``least`` names it."""
+    for f in fields(config):
+        value, bound = getattr(config, f.name), least.get(f.name, -math.inf)
+        if type(value) is not FIELD_TYPES[f.type]:
+            raise ValueError(f"{label} {f.name} must be {f.type}, got {value!r}")
+        if f.type != "bool" and not (abs(value) < math.inf and value >= bound):  # exact for an int of any size
+            raise ValueError(f"{label} {f.name} must be finite and >= {bound}, got {value}")
+
+
 @dataclass
 class ModelConfig:
-    """Architecture hyperparameters; mixture_k=3 is the documented default."""
+    """Architecture hyperparameters; mixture_k=3 is the documented default. Field rule
+    (:func:`check_fields`): exactly the declared types, every int >= 1, ``lrelu_slope`` any finite float."""
 
     hidden: int = 32
     hidden2: int = 64
@@ -52,11 +68,7 @@ class ModelConfig:
     lrelu_slope: float = 0.2
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "int" and getattr(self, f.name) < 1:
-                raise ValueError(f"model config {f.name} must be >= 1, got {getattr(self, f.name)}")
-        if not math.isfinite(self.lrelu_slope):
-            raise ValueError(f"model config lrelu_slope must be finite, got {self.lrelu_slope}")
+        check_fields(self, "model config", {f.name: 1 for f in fields(self) if f.type == "int"})
 
     @classmethod
     def tiny(cls, context_model: bool = True) -> "ModelConfig":
@@ -69,31 +81,21 @@ class ModelConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
-        """Inverse of :meth:`to_text`: one ``key = value`` line for every field, in to_text's order and spelling."""
+        """Inverse of :meth:`to_text`: parses each line by its field's type, then checks the round trip.
+
+        An unknown or repeated key raises, and so does any text the config does not write back exactly
+        (a missing key, a bad bool, reordered lines, ``hidden = 032``), naming the first line that differs."""
+        types = {f.name: FIELD_TYPES[f.type] for f in fields(cls)}
         kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
         for line in text.splitlines():
-            key, sep, value = line.partition(" = ")
-            if not sep:
-                raise ValueError(f"malformed model config line: {line!r}")
-            if key not in types:
-                raise ValueError(f"unknown model config key {key!r}")
-            if key in kwargs:
-                raise ValueError(f"model config key {key!r} appears twice")
-            if types[key] == "bool":
-                if value not in ("True", "False"):
-                    raise ValueError(f"bad bool in model config line: {line!r}")
-                kwargs[key] = value == "True"
-            elif types[key] == "int":
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = float(value)
-        missing = [name for name in types if name not in kwargs]
-        if missing:
-            raise ValueError(f"model config lacks {', '.join(missing)}")
+            key, _, value = line.partition(" = ")
+            if key not in types or key in kwargs:
+                raise ValueError(f"unknown or repeated model config key {key!r}")
+            kwargs[key] = value == "True" if types[key] is bool else types[key](value)
         config = cls(**kwargs)
-        if config.to_text() != text:
-            raise ValueError("model config text is not in to_text order and spelling")
+        for got, want in zip_longest(text.splitlines(True), config.to_text().splitlines(True), fillvalue=""):
+            if got != want:
+                raise ValueError(f"model config text is not in to_text order and spelling: {got!r}, expected {want!r}")
         return config
 
 
@@ -143,15 +145,15 @@ class ModelWeights:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ModelWeights":
-        """Inverse of :meth:`serialize`; a cut, padded or inconsistent blob raises ValueError.
+        """Inverse of :meth:`serialize`; a cut, padded, inconsistent or non-finite blob raises ValueError.
 
         The file holds the tensors of :func:`param_shapes` of the blob's
         config, in that order. Each tensor's name and shape must equal the
         expected pair before its values are read, and its values are copied
         once out of the blob. Besides the blob, a load therefore holds at
         most the arrays read so far, fewer bytes than the blob, whatever
-        sizes the config text names. An accepted blob is the
-        :meth:`serialize` of the weights it loads to.
+        sizes the config text names. An accepted blob holds only finite
+        values and is the :meth:`serialize` of the weights it loads to.
         """
         if data[:4] != WEIGHTS_MAGIC:
             raise ValueError("not a weights file (bad magic)")
@@ -187,6 +189,8 @@ class ModelWeights:
                 raise ValueError(f"weights file tensor {i} is {name!r} of shape {shape}, "
                                  f"expected {want_name!r} of shape {want_shape}")
             arr = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"weights file tensor {i} {name!r} holds a NaN or infinite value")
             tensors[name] = Tensor(arr.astype(np.float64), requires_grad=True)
         if pos != len(view):
             raise ValueError(f"weights file has {len(view) - pos} trailing bytes")

@@ -1,6 +1,7 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every array is float64 and layout is row-major NCHW. Ops take Tensors.
+Every array is float64 and layout is row-major NCHW. The public ops are
+this module's functions whose names do not start with ``_``. Ops take Tensors.
 ``add``, ``sub``, ``mul`` and ``div`` also take a Python or numpy scalar,
 which is a constant; a 0-d operand that needs a gradient must meet an
 operand of its own shape. Any other broadcast is explicit, through
@@ -22,35 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtr
-
-__all__ = [
-    "Tensor",
-    "GradTape",
-    "backward",
-    "as_tensor",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "log",
-    "clamp",
-    "leaky_relu",
-    "softplus",
-    "tanh",
-    "sigmoid",
-    "softmax",
-    "reduce_sum",
-    "std_normal_cdf",
-    "reshape",
-    "permute",
-    "broadcast_to",
-    "narrow",
-    "concat",
-    "conv2d",
-    "conv2d_transposed",
-    "masked_conv2d",
-    "mask_a",
-]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 

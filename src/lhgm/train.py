@@ -16,7 +16,6 @@ actually traverse parameter space; see the config docstring.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, fields
 
@@ -26,7 +25,7 @@ from . import distributions as D
 from . import model as M
 from . import tensor as T
 from .errors import TrainingDivergedError
-from .model import ForwardOutputs, ModelConfig, ModelWeights
+from .model import ForwardOutputs, ModelConfig, ModelWeights, check_fields
 from .tensor import GradTape, Tensor
 
 log = logging.getLogger(__name__)
@@ -39,7 +38,8 @@ class TrainConfig:
 
     ``steps``/``warmup_steps``/``lr_switch_step`` keep the paper's
     proportions (12% warm-up, final 16% at lr/10). lambda_warm=0.6 is the
-    paper's warm-up weight and is never rescaled.
+    paper's warm-up weight and is never rescaled. Field rule (:func:`lhgm.model.check_fields`):
+    exactly the declared types, all finite, steps, batch, patch, log_every >= 1, the rest >= 0.
     """
 
     steps: int = 5000
@@ -54,10 +54,8 @@ class TrainConfig:
     log_every: int = 50
 
     def __post_init__(self):
-        for f in fields(self):
-            value, least = getattr(self, f.name), 1 if f.name in ("steps", "batch", "patch", "log_every") else 0
-            if not (math.isfinite(value) and value >= least):
-                raise ValueError(f"train config {f.name} must be finite and >= {least}, got {value}")
+        check_fields(self, "train config",
+                     {f.name: 1 if f.name in ("steps", "batch", "patch", "log_every") else 0 for f in fields(self)})
 
     def to_text(self) -> str:
         return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
@@ -119,10 +117,10 @@ class AdamState:
         )
 
 
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState, lr: float) -> None:
-    """Standard bias-corrected Adam update; a NaN in any grad skips the step."""
-    for g in grads.values():
-        if g is not None and not np.all(np.isfinite(g)):
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
+    """Bias-corrected Adam update from each ``p.grad``: a non-finite grad skips the step, a None grad its p."""
+    for p in params.values():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
             state.skipped += 1
             log.warning("skipping optimizer step %d: non-finite gradient", state.t + 1)
             return
@@ -130,7 +128,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     c1 = 1.0 - _BETA1**state.t
     c2 = 1.0 - _BETA2**state.t
     for name, p in params.items():
-        g = grads.get(name)
+        g = p.grad
         if g is None:
             continue
         m = state.m[name]
@@ -142,9 +140,9 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
-def global_norm(grads: dict[str, np.ndarray]) -> float:
-    """L2 norm of all gradients taken as one vector; non-finite if any entry is."""
-    return float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values() if g is not None)))
+def global_norm(params: dict[str, Tensor]) -> float:
+    """L2 norm of every ``p.grad`` taken as one vector; non-finite if any entry is."""
+    return float(np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in params.values() if p.grad is not None)))
 
 
 def eligible_images(corpus, patch: int) -> list:
@@ -241,13 +239,12 @@ def train_loop(
         else:
             high_loss_streak = 0
 
-        grads = {name: p.grad for name, p in params.items()}
-        adam_step(params, grads, state, lr)
+        adam_step(params, state, lr)
 
         if (step % config.log_every == 0) or step == config.steps - 1:
             losses = {f.name: getattr(lb, f.name) for f in fields(lb)}
             losses = {k: v.item() if isinstance(v, Tensor) else v for k, v in losses.items()}
-            metrics.append(MetricsRow(step=step, skipped=state.skipped, grad_norm=global_norm(grads),
+            metrics.append(MetricsRow(step=step, skipped=state.skipped, grad_norm=global_norm(params),
                                       wall_time=time.monotonic() - start, **losses))
 
     if state.skipped:

@@ -123,3 +123,37 @@ def test_claim_met_needs_nine_of_ten_pairs_and_a_median_gap_beyond_the_parent_sp
 def test_claim_met_follows_the_metric_direction():
     assert bench_pairs.claim_met(paired(PARENT, [1.1] * 10), "higher")
     assert not bench_pairs.claim_met(paired(PARENT, [1.1] * 10), "lower")
+
+
+def write_tree(tree, files):
+    for name, content in files.items():
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_bytes(content)
+    return tree
+
+
+BENCH_FILES = {"BENCHMARK.json": b'{"paths": ["perfbench"]}\n', "perfbench/run.py": b"print(1)\n",
+               "perfbench/weights/a.lhgw": b"\x00\x01"}
+
+
+def test_src_lines_counts_the_lines_of_the_package_modules(tmp_path):
+    write_tree(tmp_path, {"src/lhgm/a.py": b"x = 1\ny = 2\n", "src/lhgm/b.py": b"z = 3\n",
+                          "src/lhgm/notes.txt": b"1\n2\n", "tools/c.py": b"w = 4\n"})
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
+@pytest.mark.parametrize("edit", [{}, {"perfbench/out/result.json": b"{}"}, {"perfbench/__pycache__/run.pyc": b"x"},
+                                  {"src/lhgm/model.py": b"x = 1\n"}])
+def test_benchmark_unchanged_ignores_what_git_ignores_and_what_lies_outside_its_paths(tmp_path, edit):
+    parent = write_tree(tmp_path / "parent", BENCH_FILES)
+    change = write_tree(tmp_path / "change", {**BENCH_FILES, **edit})
+    assert bench_pairs.benchmark_unchanged(parent, change, ["perfbench"])
+
+
+@pytest.mark.parametrize("edit", [{"perfbench/run.py": b"print(2)\n"}, {"perfbench/new.py": b""},
+                                  {"BENCHMARK.json": b"{}"}, {"perfbench/weights/a.lhgw": b"\x00"}])
+def test_benchmark_unchanged_false_for_any_edit_to_its_files(tmp_path, edit):
+    parent = write_tree(tmp_path / "parent", BENCH_FILES)
+    change = write_tree(tmp_path / "change", {**BENCH_FILES, **edit})
+    assert not bench_pairs.benchmark_unchanged(parent, change, ["perfbench"])
+    assert not bench_pairs.benchmark_unchanged(change, parent, ["perfbench"])

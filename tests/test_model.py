@@ -1,12 +1,16 @@
 """Hyperprior model: shapes, quantization, causality, serialization."""
 
+import dataclasses
 import hashlib
+import re
 import struct
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lhgm.model as M
 import lhgm.tensor as T
@@ -420,6 +424,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             ModelWeights.deserialize(weights_blob(tiny_weights.config, entries, version))
 
+    @pytest.mark.parametrize("bad,name", [(np.nan, "ga0.w"), (np.inf, "hs1.b"), (-np.inf, "prior.w0")])
+    def test_non_finite_value_rejected_by_name(self, tiny_weights, bad, name):
+        # a loaded NaN would make training skip every step and compress fail on an untyped error
+        entries = list(tiny_weights.tensors.items())
+        data = tiny_weights[name].data.copy()
+        data.flat[data.size // 2] = bad
+        entries[list(tiny_weights.tensors).index(name)] = (name, Tensor(data))
+        with pytest.raises(ValueError, match=f"{name!r} holds a NaN or infinite value"):
+            ModelWeights.deserialize(weights_blob(tiny_weights.config, entries))
+
 
 def weights_blob(config, entries, version=M.WEIGHTS_VERSION):
     """The serialize() layout, written field by field for the given (name, tensor) entries."""
@@ -476,6 +490,48 @@ class TestConfigText:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ModelConfig.from_text("latent = 3")
+
+    @pytest.mark.parametrize("field,value", [("context_model", 1), ("lrelu_slope", 1), ("hidden", True),
+                                             ("hidden", 2.0), ("mixture_k", np.int64(3)), ("lrelu_slope", None)])
+    def test_wrong_typed_field_rejected_by_name(self, field, value):
+        # a config that constructs is saved; with context_model=1 or lrelu_slope=1 the file would not load again
+        declared = type(getattr(ModelConfig(), field)).__name__
+        with pytest.raises(ValueError, match=f"model config {field} must be {declared}"):
+            ModelConfig(**{field: value})
+
+    def test_int_beyond_the_float_range_rejected_at_its_tensor(self):
+        blob = init_weights(ModelConfig.tiny(), seed=0).serialize()
+        (cfg_len,) = struct.unpack_from("<I", blob, 5)
+        cfg = blob[9 : 9 + cfg_len].replace(b"hidden = 8\n", b"hidden = 1" + b"0" * 400 + b"\n")
+        with pytest.raises(ValueError, match="'ga0.w' of shape"):
+            ModelWeights.deserialize(blob[:5] + struct.pack("<I", len(cfg)) + cfg + blob[9 + cfg_len :])
+
+
+FIELD_VALUES = {"int": st.integers(1, 3), "float": st.floats(allow_nan=False, allow_infinity=False),
+                "bool": st.booleans()}
+ANY_VALUE = st.one_of(*FIELD_VALUES.values(), st.sampled_from([0, -1, "2", None, np.int64(2), np.float64(0.5)]))
+
+
+@st.composite
+def config_fields(draw):
+    """Right-typed values for every ModelConfig field, then up to two fields redrawn from ANY_VALUE."""
+    kwargs = {f.name: draw(FIELD_VALUES[f.type]) for f in dataclasses.fields(ModelConfig)}
+    for name in draw(st.lists(st.sampled_from(list(kwargs)), max_size=2, unique=True)):
+        kwargs[name] = draw(ANY_VALUE)
+    return kwargs
+
+
+@settings(max_examples=50, deadline=None)
+@given(config_fields())
+def test_every_config_that_constructs_is_saved_and_loaded_again(kwargs):
+    try:
+        config = ModelConfig(**kwargs)
+    except ValueError as err:
+        assert re.match(r"model config (\w+) must be", str(err))[1] in kwargs
+        return
+    assert ModelConfig.from_text(config.to_text()) == config
+    weights = init_weights(config, 0)
+    assert ModelWeights.deserialize(weights.serialize()).digest8() == weights.digest8()
 
 
 GOLDEN_NAMES = ("y_q.sum", "z_q.sum", "pixel_mean.mean", "pixel_scale.mean", "y_weights.std")

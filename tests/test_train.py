@@ -34,7 +34,8 @@ class TestAdam:
         state = AdamState.init(params)
         got = []
         for g in grads:
-            adam_step(params, {"theta": np.array(g)}, state, lr=0.01)
+            params["theta"].grad = np.array(g)
+            adam_step(params, state, lr=0.01)
             got.append(float(params["theta"].data))
         np.testing.assert_allclose(got, adam_recursion(grads, 0.01), rtol=1e-14, atol=0)
         assert state.t == len(grads)
@@ -43,10 +44,12 @@ class TestAdam:
     def test_non_finite_gradient_skips_step(self, bad):
         params = scalar_param()
         state = AdamState.init(params)
-        adam_step(params, {"theta": np.array(0.5)}, state, lr=0.01)
+        params["theta"].grad = np.array(0.5)
+        adam_step(params, state, lr=0.01)
         before = float(params["theta"].data)
         m, v = state.m["theta"].copy(), state.v["theta"].copy()
-        adam_step(params, {"theta": np.array(bad)}, state, lr=0.01)
+        params["theta"].grad = np.array(bad)
+        adam_step(params, state, lr=0.01)
         assert state.t == 1
         assert state.skipped == 1
         assert float(params["theta"].data) == before
@@ -66,6 +69,15 @@ class TestLambdaSchedule:
                                          ("lr", -1e-3), ("lr_final", np.inf), ("lambda_warm", np.nan), ("seed", -1)])
 def test_bad_train_config_rejected_by_name(field, value):
     with pytest.raises(ValueError, match=f"train config {field} must be"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("steps", 2.5), ("batch", 2.5), ("seed", 1.5), ("log_every", 1.5),
+                                         ("steps", True), ("lr", 1), ("lambda_warm", np.float64(0.6))])
+def test_wrong_typed_train_config_rejected_by_name(field, value):
+    # otherwise steps=2.5 and batch=2.5 fail deep in the loop, seed=1.5 in SeedSequence, and log_every=1.5 trains
+    declared = type(getattr(TrainConfig(), field)).__name__
+    with pytest.raises(ValueError, match=f"train config {field} must be {declared}"):
         TrainConfig(**{field: value})
 
 
@@ -142,7 +154,10 @@ class TestTrainLoop:
 class TestTrainingObservability:
     def test_global_norm_is_the_norm_of_all_gradients_as_one_vector(self):
         grads = {"a": np.array([[3.0, 0.0]]), "b": np.array(4.0), "c": None, "d": np.full(3, 12.0)}
-        assert TR.global_norm(grads) == pytest.approx(np.sqrt(9 + 16 + 3 * 144), rel=1e-15)
+        params = {name: Tensor(np.zeros(np.shape(g)), requires_grad=True) for name, g in grads.items()}
+        for name, g in grads.items():
+            params[name].grad = g
+        assert TR.global_norm(params) == pytest.approx(np.sqrt(9 + 16 + 3 * 144), rel=1e-15)
 
     def test_non_finite_gradient_counts_a_skipped_step(self, monkeypatch):
         real_backward = TR.T.backward
@@ -187,9 +202,9 @@ class TestSchedules:
         seen = []
         real_adam_step = TR.adam_step
 
-        def recording(params, grads, state, lr):
+        def recording(params, state, lr):
             seen.append(lr)
-            return real_adam_step(params, grads, state, lr)
+            return real_adam_step(params, state, lr)
 
         monkeypatch.setattr(TR, "adam_step", recording)
         config = tiny_schedule(steps=4, lr=1e-3, lr_final=1e-4, lr_switch_step=2)

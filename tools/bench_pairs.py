@@ -14,7 +14,10 @@ each side, the number of pairs in which the change is lower, the ties,
 and the failed operations, and a verdict (see ``verdict``) against the
 metric's bound in ``BENCHMARK.json``. ``--claim WORKLOAD/METRIC`` names the
 gain the change claims; both names must be in ``BENCHMARK.json``, and
-``claim_met`` (see ``claim_met``) says whether the runs show it.
+``claim_met`` (see ``claim_met``) says whether the runs show it. The
+output also records ``src_lines`` of each side (see ``src_lines``) and
+whether the benchmark's own files are the same on both (see
+``benchmark_unchanged``).
 """
 
 from __future__ import annotations
@@ -129,6 +132,33 @@ def parse_claim(text: str, spec: dict) -> dict:
     return {"workload": workload, "metric": metric}
 
 
+def src_lines(tree: Path) -> int:
+    """Lines of ``src/lhgm/*.py`` in ``tree``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "lhgm").glob("*.py"))
+
+
+def benchmark_files(tree: Path, paths: list[str]) -> dict[str, bytes]:
+    """BENCHMARK.json and every file under ``paths`` in ``tree``, by relative path, leaving out what git ignores."""
+    found = []
+    for base in [tree / "BENCHMARK.json"] + [tree / p for p in paths]:
+        found += [base] if base.is_file() else sorted(f for f in base.rglob("*") if f.is_file())
+    names = [f.relative_to(tree).as_posix() for f in found]
+    check = subprocess.run(["git", "-C", str(ROOT), "check-ignore", "--no-index", "--stdin"],
+                           input="\n".join(names), stdout=subprocess.PIPE, text=True)
+    if check.returncode > 1:  # 0: some path is ignored, 1: none is
+        raise subprocess.CalledProcessError(check.returncode, "git check-ignore")
+    ignored = set(check.stdout.splitlines())
+    return {name: (tree / name).read_bytes() for name in names if name not in ignored}
+
+
+def benchmark_unchanged(parent: Path, change: Path, paths: list[str]) -> bool:
+    """Whether BENCHMARK.json and the files under its ``paths`` are byte-identical in both trees.
+
+    Files that git ignores (``perfbench/out/``, ``__pycache__``) are left out.
+    """
+    return benchmark_files(parent, paths) == benchmark_files(change, paths)
+
+
 def export(rev: str, into: Path) -> None:
     """Write the committed files of ``rev`` into ``into``."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
@@ -176,6 +206,8 @@ def main() -> int:
     try:
         export(parent, tmp)
         trees = {"parent": tmp, "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
+        unchanged = benchmark_unchanged(tmp, ROOT, spec["paths"])
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in [w["name"] for w in spec["workloads"]]:
@@ -203,6 +235,8 @@ def main() -> int:
                     "the side that runs first alternates from pair to pair",
         "host": host,
         "claim": claim,
+        "src_lines": lines,
+        "benchmark_unchanged": unchanged,
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
