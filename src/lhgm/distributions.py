@@ -223,8 +223,8 @@ class FactorizedPrior:
             tensors[name] = Tensor(data, requires_grad=True)
         return cls(tensors)
 
-    def logits(self, t: Tensor) -> Tensor:
-        """Monotone pre-sigmoid response for ``t`` of shape [channels, M]."""
+    def cumulative(self, t: Tensor) -> Tensor:
+        """Cumulative at ``t`` of shape [channels, M]: the sigmoid of each channel's monotone network."""
         c, m = t.shape
         h = T.reshape(t, (c, 1, m))
         for i in range(_PRIOR_DEPTH):
@@ -237,10 +237,7 @@ class FactorizedPrior:
             if f is not None:
                 a = a + T.broadcast_to(T.tanh(f), (c, d_out, m)) * T.tanh(a)
             h = a
-        return T.reshape(h, (c, m))
-
-    def cumulative(self, t: Tensor) -> Tensor:
-        return T.sigmoid(self.logits(t))
+        return T.sigmoid(T.reshape(h, (c, m)))
 
     def prob(self, values: Tensor, alphabet: Alphabet | None = None) -> Tensor:
         """Bin probability of integer-valued ``values`` [channels, M].

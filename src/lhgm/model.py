@@ -91,7 +91,10 @@ class ModelConfig:
             key, _, value = line.partition(" = ")
             if key not in types or key in kwargs:
                 raise ValueError(f"unknown or repeated model config key {key!r}")
-            kwargs[key] = value == "True" if types[key] is bool else types[key](value)
+            try:
+                kwargs[key] = value == "True" if types[key] is bool else types[key](value)
+            except ValueError:
+                raise ValueError(f"model config {key} must be {types[key].__name__}, got {value!r}") from None
         config = cls(**kwargs)
         for got, want in zip_longest(text.splitlines(True), config.to_text().splitlines(True), fillvalue=""):
             if got != want:

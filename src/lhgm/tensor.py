@@ -2,10 +2,12 @@
 
 Every array is float64 and layout is row-major NCHW. The public ops are
 this module's functions whose names do not start with ``_``. Ops take Tensors.
-``add``, ``sub``, ``mul`` and ``div`` also take a Python or numpy scalar,
-which is a constant; a 0-d operand that needs a gradient must meet an
-operand of its own shape. Any other broadcast is explicit, through
-``broadcast_to``, whose backward sums. Every convolution has a bias.
+``add``, ``sub``, ``mul`` and ``div`` are one body, ``_binary``, the one
+owner of their constant, shape and gradient rules: either operand may also
+be a Python or numpy scalar, which is a constant; a 0-d operand that needs
+a gradient must meet an operand of its own shape. Any other broadcast is
+explicit, through ``broadcast_to``, whose backward sums. Every convolution
+has a bias.
 Gradients are recorded on an explicit :class:`GradTape`, of which at most
 one is active: entering a second raises. Replaying the tape in reverse
 execution order is a valid topological order by construction.
@@ -85,10 +87,6 @@ class Tensor:
         return div(self, other)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 class GradTape:
     """Ordered record of executed ops with their backward closures.
 
@@ -150,74 +148,48 @@ def _make_out(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
     return out
 
 
-def _check_same_shape(a: Tensor, b: Tensor, opname: str) -> None:
-    """One shape, or a 0-d constant against any shape; a 0-d operand that needs a gradient goes through broadcast_to."""
-    scalar = a if a.ndim == 0 else b if b.ndim == 0 else None
-    if a.shape != b.shape and (scalar is None or scalar.requires_grad):
-        raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape} (a 0-d operand must be a constant)")
-
-
 # ---------------------------------------------------------------------------
 # Elementwise suite
 # ---------------------------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "add")
-    data = a.data + b.data
+def _binary(a, b, opname: str, data_fn, grad_a, grad_b) -> Tensor:
+    """add, sub, mul and div: ``data_fn(x, y)`` of the operands' arrays, and ``grad_a(g, x, y)`` or
+    ``grad_b(g, x, y)`` for each operand that needs a gradient; the constant and shape rules are the module's."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    scalar = a if a.ndim == 0 else b if b.ndim == 0 else None
+    if a.shape != b.shape and (scalar is None or scalar.requires_grad):
+        raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape} (a 0-d operand must be a constant)")
 
     def bwd(g):
         if a.requires_grad:
-            a.accumulate_grad(g)
+            a.accumulate_grad(grad_a(g, a.data, b.data))
         if b.requires_grad:
-            b.accumulate_grad(g)
+            b.accumulate_grad(grad_b(g, a.data, b.data))
 
-    return _make_out(data, (a, b), bwd)
+    return _make_out(data_fn(a.data, b.data), (a, b), bwd)
+
+
+def add(a, b) -> Tensor:
+    return _binary(a, b, "add", np.add, lambda g, x, y: g, lambda g, x, y: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "sub")
-    data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
-        if b.requires_grad:
-            b.accumulate_grad(-g)
-
-    return _make_out(data, (a, b), bwd)
+    return _binary(a, b, "sub", np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "mul")
-    data = a.data * b.data
+    return _binary(a, b, "mul", np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
 
-    return _make_out(data, (a, b), bwd)
+# div's data_fn, grad_a and grad_b; a division by zero gives inf or nan without a warning
+_quiet = np.errstate(divide="ignore", invalid="ignore")
+_DIV = (_quiet(np.divide), _quiet(lambda g, x, y: g / y), _quiet(lambda g, x, y: -g * x / (y * y)))
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_same_shape(a, b, "div")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = a.data / b.data
-
-    def bwd(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if a.requires_grad:
-                a.accumulate_grad(g / b.data)
-            if b.requires_grad:
-                b.accumulate_grad(-g * a.data / (b.data * b.data))
-
-    return _make_out(data, (a, b), bwd)
+    return _binary(a, b, "div", *_DIV)
 
 
 def log(x: Tensor) -> Tensor:
@@ -242,7 +214,7 @@ def clamp(x: Tensor, lo: float) -> Tensor:
     return _make_out(data, (x,), bwd)
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
+def leaky_relu(x: Tensor, slope: float) -> Tensor:
     pos = x.data > 0.0
     data = np.where(pos, x.data, slope * x.data)
 
@@ -374,16 +346,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def concat(tensors, axis: int) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
+    cuts = np.cumsum([t.shape[axis] for t in tensors[:-1]])
 
     def bwd(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
+        for t, part in zip(tensors, np.split(g, cuts, axis=axis)):
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + size)
-                t.accumulate_grad(g[tuple(idx)])
-            offset += size
+                t.accumulate_grad(part)
 
     return _make_out(data, tuple(tensors), bwd)
 

@@ -195,12 +195,15 @@ def train_loop(
     model_config: ModelConfig | None = None,
     weights: ModelWeights | None = None,
 ) -> tuple[ModelWeights, list[MetricsRow]]:
-    """Run the optimization; returns final weights plus the metrics records.
+    """Train ``weights``, or fresh weights of ``model_config`` (default ``ModelConfig()``), never both;
+    returns the final weights plus the metrics records.
 
     Reproducibility contract: the seed fixes weight init, crop sequence and
     quantization noise, so two runs with identical (config, corpus) produce
     bitwise-identical weights.
     """
+    if model_config is not None and weights is not None:
+        raise ValueError("train_loop takes model_config or weights, not both")
     corpus = eligible_images(corpus, config.patch)
     root = np.random.SeedSequence(config.seed)
     init_seq, crop_seq, noise_seq = root.spawn(3)

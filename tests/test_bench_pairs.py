@@ -157,3 +157,19 @@ def test_benchmark_unchanged_false_for_any_edit_to_its_files(tmp_path, edit):
     change = write_tree(tmp_path / "change", {**BENCH_FILES, **edit})
     assert not bench_pairs.benchmark_unchanged(parent, change, ["perfbench"])
     assert not bench_pairs.benchmark_unchanged(change, parent, ["perfbench"])
+
+
+@pytest.mark.parametrize("change_sha,identical", [("ab", True), ("cd", False)])
+def test_bit_gates_run_once_per_side_and_compare_the_lines(monkeypatch, change_sha, identical):
+    lines = {"parent": {"train_digest8": "f5", "train_bpsp": 6.5, "containers_sha256": "ab"},
+             "change": {"train_digest8": "f5", "train_bpsp": 6.5, "containers_sha256": change_sha}}
+    calls = []
+
+    def fake_run_bit_gate(tree):
+        calls.append(tree)
+        return lines[tree.name]
+
+    monkeypatch.setattr(bench_pairs, "run_bit_gate", fake_run_bit_gate)
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    assert bench_pairs.bit_gates(trees) == {"bit_gate": lines, "bit_identical": identical}
+    assert calls == [trees["parent"], trees["change"]]

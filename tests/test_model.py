@@ -458,6 +458,15 @@ class TestConfigText:
         with pytest.raises(ValueError, match=key):
             ModelWeights.deserialize(blob[:5] + struct.pack("<I", len(cfg)) + cfg + blob[9 + cfg_len :])
 
+    @pytest.mark.parametrize("line,kind", [("hidden = abc", "int"), ("hidden = 3.0", "int"),
+                                           ("lrelu_slope = fast", "float")])
+    def test_unparsable_value_rejected_by_name(self, line, kind):
+        key, _, value = line.partition(" = ")
+        text = "".join(line + "\n" if old.startswith(f"{key} = ") else old + "\n"
+                       for old in ModelConfig().to_text().splitlines())
+        with pytest.raises(ValueError, match=re.escape(f"model config {key} must be {kind}, got '{value}'")):
+            ModelConfig.from_text(text)
+
     @pytest.mark.parametrize("config", [ModelConfig(), ModelConfig.tiny(False)], ids=["default", "tiny_no_context"])
     def test_round_trip(self, config):
         assert ModelConfig.from_text(config.to_text()) == config

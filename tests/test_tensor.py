@@ -1,5 +1,6 @@
 """Tensor engine: op semantics, naive-loop conv oracle, and gradient checks."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -175,6 +176,48 @@ class TestElementwise:
         # a 0-d operand against an array is a constant; one that needs a gradient goes through broadcast_to
         with GradTape(), pytest.raises(ValueError, match="mul"):
             T.mul(Tensor(np.array(2.0), requires_grad=True), Tensor(np.ones((2, 2))))
+
+
+BINARY_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
+CONSTANTS = {"float": lambda: 2.5, "float64": lambda: np.float64(-1.5), "0d_tensor": lambda: Tensor(np.array(0.75))}
+
+
+class TestBinaryContract:
+    """The rules add, sub, mul and div share: constants, the shape rule, and who gets a gradient."""
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("kind", CONSTANTS)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_scalar_operand_is_a_constant(self, op, kind, side):
+        def run(other):
+            x = Tensor(np.array([[0.5, -2.0, 3.0], [1.25, -0.75, 4.0]]), requires_grad=True)
+            with GradTape():
+                out = getattr(T, op)(*((other, x) if side == "left" else (x, other)))
+                T.backward(T.reduce_sum(out * Tensor(np.arange(1.0, 7.0).reshape(2, 3))))
+            return out, x
+
+        constant = CONSTANTS[kind]()
+        value = constant.data if isinstance(constant, Tensor) else constant
+        out, x = run(constant)
+        np.testing.assert_array_equal(out.data, BINARY_OPS[op](*((value, x.data) if side == "left" else (x.data, value))))
+        # the tensor operand gets the gradient a same-shape constant gives it; the constant gets none
+        np.testing.assert_array_equal(x.grad, run(Tensor(np.full(x.shape, value)))[1].grad)
+        if isinstance(constant, Tensor):
+            assert constant.grad is None
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_zero_d_operand_that_needs_a_gradient_rejected(self, op, side):
+        scalar, array = Tensor(np.array(2.0), requires_grad=True), Tensor(np.ones((2, 2)))
+        args = (scalar, array) if side == "left" else (array, scalar)
+        with GradTape(), pytest.raises(ValueError, match=f"^{op}: shape mismatch"):
+            getattr(T, op)(*args)
+
+    @pytest.mark.parametrize("op", BINARY_OPS)
+    @pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (3,)), ((1, 3), (2, 3))])
+    def test_shape_mismatch_rejected_by_name(self, op, shapes):
+        with pytest.raises(ValueError, match=f"^{op}: shape mismatch {re.escape(str(shapes[0]))}"):
+            getattr(T, op)(Tensor(np.ones(shapes[0])), Tensor(np.ones(shapes[1])))
 
 
 class TestStdNormalCdf:

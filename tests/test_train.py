@@ -151,6 +151,14 @@ class TestTrainLoop:
             assert r.total == pytest.approx(r.rate_x + r.rate_y + r.rate_z + r.lam * (r.l2_x + r.l2_y), rel=1e-12)
 
 
+    def test_model_config_and_weights_together_rejected(self):
+        # either one fixes the model; with both, the weights would silently win over the config
+        config = TrainConfig(steps=1, batch=2, patch=32, seed=0, log_every=1)
+        corpus = [np.zeros((32, 32, 3))]
+        with pytest.raises(ValueError, match="model_config or weights, not both"):
+            train_loop(config, corpus, model_config=ModelConfig(), weights=M.init_weights(ModelConfig.tiny(), seed=0))
+
+
 class TestTrainingObservability:
     def test_global_norm_is_the_norm_of_all_gradients_as_one_vector(self):
         grads = {"a": np.array([[3.0, 0.0]]), "b": np.array(4.0), "c": None, "d": np.full(3, 12.0)}

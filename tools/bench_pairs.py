@@ -15,9 +15,10 @@ and the failed operations, and a verdict (see ``verdict``) against the
 metric's bound in ``BENCHMARK.json``. ``--claim WORKLOAD/METRIC`` names the
 gain the change claims; both names must be in ``BENCHMARK.json``, and
 ``claim_met`` (see ``claim_met``) says whether the runs show it. The
-output also records ``src_lines`` of each side (see ``src_lines``) and
+output also records ``src_lines`` of each side (see ``src_lines``),
 whether the benchmark's own files are the same on both (see
-``benchmark_unchanged``).
+``benchmark_unchanged``), and the line ``tools/bit_gate.py`` prints for
+each side with whether the two are equal (see ``bit_gates``).
 """
 
 from __future__ import annotations
@@ -159,6 +160,20 @@ def benchmark_unchanged(parent: Path, change: Path, paths: list[str]) -> bool:
     return benchmark_files(parent, paths) == benchmark_files(change, paths)
 
 
+def run_bit_gate(tree: Path) -> dict:
+    """The line ``tools/bit_gate.py`` prints for ``tree``, from a fresh process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bit_gate.py"), str(tree)],
+                          env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def bit_gates(trees: dict[str, Path]) -> dict:
+    """``bit_gate``: the gate line of each side, run once; ``bit_identical``: whether the two lines are equal."""
+    gates = {side: run_bit_gate(tree) for side, tree in trees.items()}
+    return {"bit_gate": gates, "bit_identical": gates["parent"] == gates["change"]}
+
+
 def export(rev: str, into: Path) -> None:
     """Write the committed files of ``rev`` into ``into``."""
     archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
@@ -208,6 +223,8 @@ def main() -> int:
         trees = {"parent": tmp, "change": ROOT}
         lines = {side: src_lines(tree) for side, tree in trees.items()}
         unchanged = benchmark_unchanged(tmp, ROOT, spec["paths"])
+        gates = bit_gates(trees)
+        print(f"bit gate: {gates}", flush=True)
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in [w["name"] for w in spec["workloads"]]:
@@ -237,6 +254,7 @@ def main() -> int:
         "claim": claim,
         "src_lines": lines,
         "benchmark_unchanged": unchanged,
+        **gates,
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
