@@ -60,7 +60,7 @@ _PRIOR_INIT_SCALE = 10.0
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Inclusive integer symbol range with unit bins."""
+    """Inclusive integer symbol range with unit bins; ``check`` accepts only the integers in it."""
 
     lo: int
     hi: int
@@ -77,8 +77,8 @@ class Alphabet:
         return np.arange(self.lo, self.hi + 1, dtype=np.float64)
 
     def check(self, v: np.ndarray) -> None:
-        if np.any(v < self.lo) or np.any(v > self.hi):
-            raise ValueError(f"value outside alphabet [{self.lo}, {self.hi}]")
+        if not np.all((v >= self.lo) & (v <= self.hi) & (np.floor(v) == v)):
+            raise ValueError(f"value outside alphabet [{self.lo}, {self.hi}] of integer symbols")
 
 
 PIXEL_ALPHABET = Alphabet(0, 255)

@@ -273,10 +273,9 @@ def init_weights(config: ModelConfig, seed) -> ModelWeights:
         else:
             data = np.zeros(shape)
         t[name] = Tensor(data, requires_grad=True)
-    kc = config.mixture_k * config.latent_channels
-    t["hh.b"].data[2 * kc :] = _SCALE_BIAS_Y
-    t["fu1.b"].data[2 * kc :] = _SCALE_BIAS_Y
-    t["gs5.b"].data[2 * config.mixture_k * 3 :] = _SCALE_BIAS_X
+    for head, scale_bias in (("hh", _SCALE_BIAS_Y), ("fu1", _SCALE_BIAS_Y), ("gs5", _SCALE_BIAS_X)):
+        b = t[f"{head}.b"].data
+        b[2 * b.size // 3 :] = scale_bias  # the scale block, last of a head's three (see split_mixture)
 
     t.update(FactorizedPrior.init(config.hyper_channels, rng).tensors)
     return ModelWeights(config, t)
@@ -286,12 +285,15 @@ def _lrelu(x: Tensor, w: ModelWeights) -> Tensor:
     return T.leaky_relu(x, w.config.lrelu_slope)
 
 
-def _conv(x, w, name, stride=1, padding=0):
-    return T.conv2d(x, w[f"{name}.w"], w[f"{name}.b"], stride=stride, padding=padding)
+def _conv(x, w, name, stride=1):
+    """Same-size padding, read from the kernel: a k x k kernel pads by k // 2 (3x3 by 1, 1x1 by 0)."""
+    kernel = w[f"{name}.w"]
+    return T.conv2d(x, kernel, w[f"{name}.b"], stride=stride, padding=kernel.shape[2] // 2)
 
 
-def _tconv(x, w, name, stride=2, padding=1):
-    return T.conv2d_transposed(x, w[f"{name}.w"], w[f"{name}.b"], stride=stride, padding=padding)
+def _tconv(x, w, name):
+    """The one x2 upsampler: stride 2 and padding 1 on the 4-tap kernels of param_shapes, so H -> 2H."""
+    return T.conv2d_transposed(x, w[f"{name}.w"], w[f"{name}.b"], stride=2, padding=1)
 
 
 def split_mixture(raw: Tensor, k: int, c: int, pixel: bool) -> MixtureParams:
@@ -301,9 +303,7 @@ def split_mixture(raw: Tensor, k: int, c: int, pixel: bool) -> MixtureParams:
     block ordered component-major. Pixel-side means are mapped from network
     units into [0, 255]-centered pixel units.
     """
-    n, ch, h, w_ = raw.shape
-    if ch != 3 * k * c:
-        raise ValueError(f"head emitted {ch} channels, expected {3 * k * c}")
+    n, _, h, w_ = raw.shape
     kc = k * c
     logits = T.reshape(T.narrow(raw, 1, 0, kc), (n, k, c, h, w_))
     means = T.reshape(T.narrow(raw, 1, kc, kc), (n, k, c, h, w_))
@@ -331,10 +331,10 @@ def analysis(x: Tensor, w: ModelWeights) -> Tensor:
         raise ValueError(f"analysis expects RGB input, got {c} channels")
     _check_divisible(h, wd, 16, "analysis")
     t = x * (1.0 / 127.5) - 1.0
-    a = _lrelu(_conv(t, w, "ga0", stride=2, padding=1), w)
-    a = _lrelu(a + _conv(a, w, "ga1", stride=1, padding=1), w)
-    a = _lrelu(_conv(a, w, "ga2", stride=2, padding=1), w)
-    a = _lrelu(a + _conv(a, w, "ga3", stride=1, padding=1), w)
+    a = _lrelu(_conv(t, w, "ga0", stride=2), w)
+    a = _lrelu(a + _conv(a, w, "ga1"), w)
+    a = _lrelu(_conv(a, w, "ga2", stride=2), w)
+    a = _lrelu(a + _conv(a, w, "ga3"), w)
     return _conv(a, w, "ga4")
 
 
@@ -342,8 +342,8 @@ def hyper_analysis(y: Tensor, w: ModelWeights) -> Tensor:
     """h_a: latents -> hyper-latents [N,Cz,H/16,W/16]."""
     _, _, h, wd = y.shape
     _check_divisible(h, wd, 4, "hyper_analysis")
-    b = _lrelu(_conv(y, w, "ha0", stride=2, padding=1), w)
-    return _conv(b, w, "ha1", stride=2, padding=1)
+    b = _lrelu(_conv(y, w, "ha0", stride=2), w)
+    return _conv(b, w, "ha1", stride=2)
 
 
 def hyper_trunk(z_q: Tensor, w: ModelWeights) -> Tensor:
@@ -379,9 +379,9 @@ def y_mixture_params(y_q: Tensor, hyper_feat: Tensor, w: ModelWeights, context: 
 def synthesis(y_q: Tensor, w: ModelWeights) -> MixtureParams:
     """g_s: decoded latents -> per-sub-pixel mixture parameters at H x W."""
     s = _lrelu(_conv(y_q, w, "gs0"), w)
-    s = _lrelu(s + _conv(s, w, "gs1", stride=1, padding=1), w)
+    s = _lrelu(s + _conv(s, w, "gs1"), w)
     s = _lrelu(_tconv(s, w, "gs2"), w)
-    s = _lrelu(s + _conv(s, w, "gs3", stride=1, padding=1), w)
+    s = _lrelu(s + _conv(s, w, "gs3"), w)
     s = _lrelu(_tconv(s, w, "gs4"), w)
     raw = _conv(s, w, "gs5")
     return split_mixture(raw, w.config.mixture_k, 3, pixel=True)

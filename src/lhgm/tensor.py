@@ -183,7 +183,7 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, "mul", np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-# div's data_fn, grad_a and grad_b; a division by zero gives inf or nan without a warning
+# a division by zero, or a log of 0 or less, gives inf or nan without a warning; _DIV is div's three functions
 _quiet = np.errstate(divide="ignore", invalid="ignore")
 _DIV = (_quiet(np.divide), _quiet(lambda g, x, y: g / y), _quiet(lambda g, x, y: -g * x / (y * y)))
 
@@ -193,14 +193,7 @@ def div(a, b) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(x.data)
-
-    def bwd(g):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x.accumulate_grad(g / x.data)
-
-    return _make_out(data, (x,), bwd)
+    return _make_out(_quiet(np.log)(x.data), (x,), _quiet(lambda g: x.accumulate_grad(g / x.data)))
 
 
 def clamp(x: Tensor, lo: float) -> Tensor:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,22 +57,28 @@ class TrainConfig:
         check_fields(self, "train config",
                      {f.name: 1 if f.name in ("steps", "batch", "patch", "log_every") else 0 for f in fields(self)})
 
-    def to_text(self) -> str:
-        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
+    to_text = ModelConfig.to_text
 
 
 @dataclass
-class LossBreakdown:
-    """Loss components; total is composed exactly as rate + lambda * L2."""
+class MetricsRow:
+    """One training step's loss terms, as floats, and the run's state after that step.
 
-    rate_x: Tensor
-    rate_y: Tensor
-    rate_z: Tensor
-    l2_x: Tensor
-    l2_y: Tensor
+    ``loss`` fills the terms (total is rate + lam * L2); ``train_loop`` fills the rest at log steps.
+    """
+
+    rate_x: float
+    rate_y: float
+    rate_z: float
+    l2_x: float
+    l2_y: float
     lam: float
-    total: Tensor
+    total: float
     floor_hits: int  # probabilities below D.LIKELIHOOD_FLOOR over x, y and z
+    step: int = 0
+    skipped: int = 0  # optimizer steps skipped so far for a non-finite gradient (AdamState.skipped)
+    grad_norm: float = 0.0  # global L2 norm of this step's gradients
+    wall_time: float = 0.0
 
 
 def lambda_schedule(step: int, config: TrainConfig) -> float:
@@ -80,8 +86,9 @@ def lambda_schedule(step: int, config: TrainConfig) -> float:
     return config.lambda_warm if step < config.warmup_steps else 0.0
 
 
-def loss(outputs: ForwardOutputs, x: Tensor, step: int, config: TrainConfig) -> LossBreakdown:
-    """Rate-plus-L2 objective on train-mode outputs, averaged per image."""
+def loss(outputs: ForwardOutputs, x: Tensor, step: int, config: TrainConfig) -> tuple[Tensor, MetricsRow]:
+    """Rate-plus-L2 objective on train-mode outputs, averaged per image: the total backward runs on,
+    and the step's record of the same terms as floats."""
     n = x.shape[0]
     inv_n = 1.0 / n
     hits: list[int] = []
@@ -98,7 +105,8 @@ def loss(outputs: ForwardOutputs, x: Tensor, step: int, config: TrainConfig) -> 
     l2_y = T.reduce_sum(dy * dy) * inv_n
     lam = lambda_schedule(step, config)
     total = rate_x + rate_y + rate_z + lam * (l2_x + l2_y)
-    return LossBreakdown(rate_x, rate_y, rate_z, l2_x, l2_y, lam, total, sum(hits))
+    terms = [t.item() for t in (rate_x, rate_y, rate_z, l2_x, l2_y)]
+    return total, MetricsRow(*terms, lam, total.item(), sum(hits))
 
 
 @dataclass
@@ -173,22 +181,6 @@ def sample_patches(corpus, patch: int, batch: int, rng: np.random.Generator) -> 
     return Tensor(out)
 
 
-@dataclass
-class MetricsRow:
-    step: int
-    rate_x: float
-    rate_y: float
-    rate_z: float
-    l2_x: float
-    l2_y: float
-    lam: float
-    total: float
-    floor_hits: int
-    skipped: int  # optimizer steps skipped so far for a non-finite gradient (AdamState.skipped)
-    grad_norm: float  # global L2 norm of this step's gradients
-    wall_time: float
-
-
 def train_loop(
     config: TrainConfig,
     corpus,
@@ -201,6 +193,9 @@ def train_loop(
     Reproducibility contract: the seed fixes weight init, crop sequence and
     quantization noise, so two runs with identical (config, corpus) produce
     bitwise-identical weights.
+
+    Divergence guard: a step is high when its loss is non-finite, or above 10x the first finite
+    loss once there is one; 100 high steps in a row raise TrainingDivergedError.
     """
     if model_config is not None and weights is not None:
         raise ValueError("train_loop takes model_config or weights, not both")
@@ -226,17 +221,17 @@ def train_loop(
             p.grad = None
         with GradTape():
             out = M.forward(x, weights, "train", rng=noise_rng)
-            lb = loss(out, x, step, config)
-            T.backward(lb.total)
+            total, row = loss(out, x, step, config)
+            T.backward(total)
 
-        total = lb.total.item()
-        if initial_total is None and np.isfinite(total):
-            initial_total = total
-        if initial_total is not None and (not np.isfinite(total) or total > 10.0 * initial_total):
+        value = total.item()
+        if initial_total is None and np.isfinite(value):
+            initial_total = value
+        if not np.isfinite(value) or value > 10.0 * initial_total:  # a finite value has set initial_total
             high_loss_streak += 1
             if high_loss_streak >= 100:
                 raise TrainingDivergedError(
-                    f"loss {total:.3e} above 10x initial {initial_total:.3e} "
+                    f"loss {value:.3e} non-finite or above 10x the first finite loss ({initial_total}) "
                     f"for {high_loss_streak} consecutive steps (step {step})"
                 )
         else:
@@ -245,10 +240,8 @@ def train_loop(
         adam_step(params, state, lr)
 
         if (step % config.log_every == 0) or step == config.steps - 1:
-            losses = {f.name: getattr(lb, f.name) for f in fields(lb)}
-            losses = {k: v.item() if isinstance(v, Tensor) else v for k, v in losses.items()}
-            metrics.append(MetricsRow(step=step, skipped=state.skipped, grad_norm=global_norm(params),
-                                      wall_time=time.monotonic() - start, **losses))
+            metrics.append(replace(row, step=step, skipped=state.skipped, grad_norm=global_norm(params),
+                                   wall_time=time.monotonic() - start))
 
     if state.skipped:
         log.warning("training finished with %d skipped steps", state.skipped)

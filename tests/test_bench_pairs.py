@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: the summary of paired benchmark runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -142,21 +143,42 @@ def test_src_lines_counts_the_lines_of_the_package_modules(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == 3
 
 
+def git(repo, *args):
+    cmd = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args]
+    return subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def committed_tree(repo, files):
+    """A new git repository whose one commit holds ``files`` and ignores what this repository's .gitignore does."""
+    write_tree(repo, {**files, ".gitignore": b"__pycache__/\nperfbench/out/\n"})
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "parent")
+    return repo
+
+
 @pytest.mark.parametrize("edit", [{}, {"perfbench/out/result.json": b"{}"}, {"perfbench/__pycache__/run.pyc": b"x"},
                                   {"src/lhgm/model.py": b"x = 1\n"}])
 def test_benchmark_unchanged_ignores_what_git_ignores_and_what_lies_outside_its_paths(tmp_path, edit):
-    parent = write_tree(tmp_path / "parent", BENCH_FILES)
-    change = write_tree(tmp_path / "change", {**BENCH_FILES, **edit})
-    assert bench_pairs.benchmark_unchanged(parent, change, ["perfbench"])
+    repo = committed_tree(tmp_path, BENCH_FILES)
+    write_tree(repo, edit)
+    assert bench_pairs.benchmark_unchanged(repo, "HEAD", ["perfbench"])
 
 
 @pytest.mark.parametrize("edit", [{"perfbench/run.py": b"print(2)\n"}, {"perfbench/new.py": b""},
                                   {"BENCHMARK.json": b"{}"}, {"perfbench/weights/a.lhgw": b"\x00"}])
 def test_benchmark_unchanged_false_for_any_edit_to_its_files(tmp_path, edit):
-    parent = write_tree(tmp_path / "parent", BENCH_FILES)
-    change = write_tree(tmp_path / "change", {**BENCH_FILES, **edit})
-    assert not bench_pairs.benchmark_unchanged(parent, change, ["perfbench"])
-    assert not bench_pairs.benchmark_unchanged(change, parent, ["perfbench"])
+    repo = committed_tree(tmp_path, BENCH_FILES)
+    parent = git(repo, "rev-parse", "HEAD")
+    write_tree(repo, edit)
+    assert not bench_pairs.benchmark_unchanged(repo, parent, ["perfbench"])  # uncommitted
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "change")
+    change = git(repo, "rev-parse", "HEAD")
+    assert not bench_pairs.benchmark_unchanged(repo, parent, ["perfbench"])  # committed
+    assert bench_pairs.benchmark_unchanged(repo, change, ["perfbench"])
+    git(repo, "checkout", "-q", parent)  # the edit undone, or the new file gone
+    assert not bench_pairs.benchmark_unchanged(repo, change, ["perfbench"])
 
 
 @pytest.mark.parametrize("change_sha,identical", [("ab", True), ("cd", False)])

@@ -79,6 +79,12 @@ class TestSpotValues:
         with pytest.raises(ValueError, match="alphabet"):
             D.mixture_prob(single_gaussian(0.0, 1.0), Tensor(np.full((1, 1, 1, 1), 99.0)), Alphabet(-10, 10))
 
+    @pytest.mark.parametrize("bad", [np.nan, 3.5], ids=["nan", "fraction"])
+    def test_alphabet_check_accepts_only_integer_symbols(self, bad):
+        D.PIXEL_ALPHABET.check(np.array([0.0, 3.0, 255.0]))
+        with pytest.raises(ValueError, match="value outside alphabet"):
+            D.PIXEL_ALPHABET.check(np.array([0.0, bad, 255.0]))
+
     def test_matches_signed_form_oracle(self):
         for v in (-3, -1, 0, 2, 5):
             for mu, s in ((0.4, 1.3), (-2.0, 0.6)):

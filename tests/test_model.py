@@ -266,7 +266,7 @@ class TestForwardModes:
         x = Tensor(rng.integers(0, 256, size=(1, 3, 16, 16)).astype(np.float64))
         with T.GradTape():
             out = forward(x, w, "train", rng=np.random.default_rng(7))
-            T.backward(TR.loss(out, x, 0, TR.TrainConfig()).total)
+            T.backward(TR.loss(out, x, 0, TR.TrainConfig())[0])
         norms = {name: float(np.linalg.norm(w[name].grad)) for name in GOLDEN_GRAD_NORMS}
         assert norms == pytest.approx(GOLDEN_GRAD_NORMS, rel=1e-10, abs=0)
 

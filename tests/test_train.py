@@ -118,14 +118,14 @@ class TestLoss:
         x = Tensor(np.random.default_rng(4).integers(0, 256, size=(1, 3, 32, 32)).astype(np.float64))
         out = M.forward(x, w, "train", rng=np.random.default_rng(8))
         config = TrainConfig()
-        base = TR.loss(out, x, 0, config)
+        _, base = TR.loss(out, x, 0, config)
         # all three sub-pixels at (0, 0) become 0 while every component sits at 255 with a tiny scale
         x.data[0, :, 0, 0] = 0.0
         out.params_x.means.data[0, :, :, 0, 0] = 255.0
         out.params_x.scales.data[0, :, :, 0, 0] = 1e-3
-        lb = TR.loss(out, x, 0, config)
-        assert lb.floor_hits == base.floor_hits + 3
-        assert lb.rate_y.item() == base.rate_y.item() and lb.rate_z.item() == base.rate_z.item()
+        _, row = TR.loss(out, x, 0, config)
+        assert row.floor_hits == base.floor_hits + 3
+        assert row.rate_y == base.rate_y and row.rate_z == base.rate_z
 
 
 def tiny_run(seed=3):
@@ -150,6 +150,15 @@ class TestTrainLoop:
         for r in rows1:
             assert r.total == pytest.approx(r.rate_x + r.rate_y + r.rate_z + r.lam * (r.l2_x + r.l2_y), rel=1e-12)
 
+
+    def test_float_corpus_raises_before_the_first_step(self, monkeypatch):
+        # pixels in [0, 1) are not symbols of the pixel alphabet; the loss must refuse them, not train on them
+        steps, real_adam_step = [], TR.adam_step
+        monkeypatch.setattr(TR, "adam_step", lambda *args: steps.append(args) or real_adam_step(*args))
+        corpus = [np.random.default_rng(0).random((32, 32, 3))]
+        with pytest.raises(ValueError, match="value outside alphabet"):
+            train_loop(TrainConfig(steps=3, batch=1, patch=32), corpus, model_config=ModelConfig.tiny())
+        assert steps == []
 
     def test_model_config_and_weights_together_rejected(self):
         # either one fixes the model; with both, the weights would silently win over the config
@@ -221,16 +230,16 @@ class TestSchedules:
 
 
 class TestDivergenceGuard:
-    """The run stops after 100 consecutive steps whose loss is above 10x the step-0 loss."""
+    """The run stops after 100 consecutive steps whose loss is non-finite or above 10x the first finite loss."""
 
     def inflate_after_step_0(self, monkeypatch, keep=()):
         real_loss = TR.loss
 
         def inflated(outputs, x, step, config):
-            lb = real_loss(outputs, x, step, config)
+            total, row = real_loss(outputs, x, step, config)
             if step > 0 and step not in keep:
-                lb.total = lb.total * 1e3
-            return lb
+                total = total * 1e3
+            return total, row
 
         monkeypatch.setattr(TR, "loss", inflated)
 
@@ -244,6 +253,18 @@ class TestDivergenceGuard:
         self.inflate_after_step_0(monkeypatch, keep=(50,))
         _, rows = train_loop(tiny_schedule(steps=140), smooth_corpus(1), model_config=ModelConfig.tiny())
         assert rows[-1].step == 139
+
+    def test_non_finite_loss_from_step_0_counts(self, monkeypatch):
+        # no finite loss ever sets the 10x reference, so only the non-finite rule counts these steps
+        real_loss = TR.loss
+
+        def nan_loss(outputs, x, step, config):
+            total, row = real_loss(outputs, x, step, config)
+            return total * np.nan, row
+
+        monkeypatch.setattr(TR, "loss", nan_loss)
+        with pytest.raises(TrainingDivergedError, match=r"100 consecutive steps \(step 99\)"):
+            train_loop(tiny_schedule(steps=150), smooth_corpus(1), model_config=ModelConfig.tiny())
 
 
 class TestLearning:

@@ -16,9 +16,9 @@ metric's bound in ``BENCHMARK.json``. ``--claim WORKLOAD/METRIC`` names the
 gain the change claims; both names must be in ``BENCHMARK.json``, and
 ``claim_met`` (see ``claim_met``) says whether the runs show it. The
 output also records ``src_lines`` of each side (see ``src_lines``),
-whether the benchmark's own files are the same on both (see
-``benchmark_unchanged``), and the line ``tools/bit_gate.py`` prints for
-each side with whether the two are equal (see ``bit_gates``).
+whether the benchmark's own files in this checkout are as at the parent
+(see ``benchmark_unchanged``), and the line ``tools/bit_gate.py`` prints
+for each side with whether the two are equal (see ``bit_gates``).
 """
 
 from __future__ import annotations
@@ -138,26 +138,19 @@ def src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "lhgm").glob("*.py"))
 
 
-def benchmark_files(tree: Path, paths: list[str]) -> dict[str, bytes]:
-    """BENCHMARK.json and every file under ``paths`` in ``tree``, by relative path, leaving out what git ignores."""
-    found = []
-    for base in [tree / "BENCHMARK.json"] + [tree / p for p in paths]:
-        found += [base] if base.is_file() else sorted(f for f in base.rglob("*") if f.is_file())
-    names = [f.relative_to(tree).as_posix() for f in found]
-    check = subprocess.run(["git", "-C", str(ROOT), "check-ignore", "--no-index", "--stdin"],
-                           input="\n".join(names), stdout=subprocess.PIPE, text=True)
-    if check.returncode > 1:  # 0: some path is ignored, 1: none is
-        raise subprocess.CalledProcessError(check.returncode, "git check-ignore")
-    ignored = set(check.stdout.splitlines())
-    return {name: (tree / name).read_bytes() for name in names if name not in ignored}
+def benchmark_unchanged(repo: Path, parent: str, paths: list[str]) -> bool:
+    """Whether BENCHMARK.json and the files under its ``paths`` in ``repo``'s working tree are as at ``parent``.
 
-
-def benchmark_unchanged(parent: Path, change: Path, paths: list[str]) -> bool:
-    """Whether BENCHMARK.json and the files under its ``paths`` are byte-identical in both trees.
-
-    Files that git ignores (``perfbench/out/``, ``__pycache__``) are left out.
+    Git decides: ``git diff`` finds no difference from ``parent``, and there is no untracked file that
+    git does not ignore (so ``perfbench/out/`` and ``__pycache__`` are left out).
     """
-    return benchmark_files(parent, paths) == benchmark_files(change, paths)
+    files = ["BENCHMARK.json", *paths]
+    diff = subprocess.run(["git", "-C", str(repo), "diff", "--quiet", parent, "--", *files])
+    if diff.returncode > 1:  # 0: no difference, 1: some
+        raise subprocess.CalledProcessError(diff.returncode, "git diff")
+    untracked = subprocess.run(["git", "-C", str(repo), "ls-files", "--others", "--exclude-standard", "--", *files],
+                               stdout=subprocess.PIPE, text=True, check=True).stdout
+    return diff.returncode == 0 and not untracked
 
 
 def run_bit_gate(tree: Path) -> dict:
@@ -222,7 +215,7 @@ def main() -> int:
         export(parent, tmp)
         trees = {"parent": tmp, "change": ROOT}
         lines = {side: src_lines(tree) for side, tree in trees.items()}
-        unchanged = benchmark_unchanged(tmp, ROOT, spec["paths"])
+        unchanged = benchmark_unchanged(ROOT, parent, spec["paths"])
         gates = bit_gates(trees)
         print(f"bit gate: {gates}", flush=True)
         for pair in range(args.pairs):
