@@ -267,7 +267,7 @@ def init_weights(config: ModelConfig, seed) -> ModelWeights:
         if name.startswith("prior."):
             continue
         if name.endswith(".w"):
-            # an even side marks a transposed kernel, whose input channels lead
+            # an even side marks a transposed kernel (the x2 upsampler of lhgm.tensor), whose input channels lead
             fan_in = (shape[0] if shape[2] % 2 == 0 else shape[1]) * shape[2] * shape[3]
             data = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
         else:
@@ -286,14 +286,11 @@ def _lrelu(x: Tensor, w: ModelWeights) -> Tensor:
 
 
 def _conv(x, w, name, stride=1):
-    """Same-size padding, read from the kernel: a k x k kernel pads by k // 2 (3x3 by 1, 1x1 by 0)."""
-    kernel = w[f"{name}.w"]
-    return T.conv2d(x, kernel, w[f"{name}.b"], stride=stride, padding=kernel.shape[2] // 2)
+    return T.conv2d(x, w[f"{name}.w"], w[f"{name}.b"], stride=stride)
 
 
 def _tconv(x, w, name):
-    """The one x2 upsampler: stride 2 and padding 1 on the 4-tap kernels of param_shapes, so H -> 2H."""
-    return T.conv2d_transposed(x, w[f"{name}.w"], w[f"{name}.b"], stride=2, padding=1)
+    return T.conv2d_transposed(x, w[f"{name}.w"], w[f"{name}.b"])
 
 
 def split_mixture(raw: Tensor, k: int, c: int, pixel: bool) -> MixtureParams:
@@ -319,17 +316,11 @@ def split_mixture(raw: Tensor, k: int, c: int, pixel: bool) -> MixtureParams:
     )
 
 
-def _check_divisible(h: int, w: int, factor: int, where: str) -> None:
-    if h % factor or w % factor:
-        raise ValueError(f"{where}: spatial dims {h}x{w} not divisible by {factor} (inputs are not padded)")
-
-
 def analysis(x: Tensor, w: ModelWeights) -> Tensor:
-    """g_a: raw pixels [N,3,H,W] -> latents [N,Cy,H/4,W/4]. Needs H,W % 16 == 0."""
-    n, c, h, wd = x.shape
-    if c != 3:
-        raise ValueError(f"analysis expects RGB input, got {c} channels")
-    _check_divisible(h, wd, 16, "analysis")
+    """g_a: raw pixels [N,3,H,W] -> latents [N,Cy,H/4,W/4]. Needs H,W % 16 == 0, so y's sides are multiples of 4."""
+    h, wd = x.shape[2:]
+    if h % 16 or wd % 16:
+        raise ValueError(f"analysis: spatial dims {h}x{wd} not divisible by 16 (inputs are not padded)")
     t = x * (1.0 / 127.5) - 1.0
     a = _lrelu(_conv(t, w, "ga0", stride=2), w)
     a = _lrelu(a + _conv(a, w, "ga1"), w)
@@ -339,9 +330,7 @@ def analysis(x: Tensor, w: ModelWeights) -> Tensor:
 
 
 def hyper_analysis(y: Tensor, w: ModelWeights) -> Tensor:
-    """h_a: latents -> hyper-latents [N,Cz,H/16,W/16]."""
-    _, _, h, wd = y.shape
-    _check_divisible(h, wd, 4, "hyper_analysis")
+    """h_a: latents from :func:`analysis` -> hyper-latents [N,Cz,H/16,W/16]."""
     b = _lrelu(_conv(y, w, "ha0", stride=2), w)
     return _conv(b, w, "ha1", stride=2)
 

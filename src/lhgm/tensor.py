@@ -6,8 +6,11 @@ this module's functions whose names do not start with ``_``. Ops take Tensors.
 owner of their constant, shape and gradient rules: either operand may also
 be a Python or numpy scalar, which is a constant; a 0-d operand that needs
 a gradient must meet an operand of its own shape. Any other broadcast is
-explicit, through ``broadcast_to``, whose backward sums. Every convolution
-has a bias.
+explicit, through ``broadcast_to``, whose backward sums. Convolutions
+take a square kernel and a bias, and the engine sets their geometry:
+``conv2d`` and ``masked_conv2d`` take an odd side k and pad by k // 2, and
+``conv2d_transposed`` is the one x2 upsampler, an even side k at stride 2
+and padding k // 2 - 1, so H x W becomes 2H x 2W.
 Gradients are recorded on an explicit :class:`GradTape`, of which at most
 one is active: entering a second raises. Replaying the tape in reverse
 execution order is a valid topological order by construction.
@@ -354,61 +357,63 @@ def concat(tensors, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError(f"conv2d: kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [n, c, oh, ow, kh, kw]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * kh * kw, oh * ow)
+    oh = (h + 2 * pad - k) // stride + 1
+    ow = (w + 2 * pad - k) // stride + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # [n, c, oh, ow, k, k]
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, oh * ow)
     return cols, oh, ow
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
     n, c, h, w = x_shape
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
-    for u in range(kh):
-        for v in range(kw):
+    cols6 = cols.reshape(n, c, k, k, oh, ow)
+    for u in range(k):
+        for v in range(k):
             xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols6[:, :, u, v]
     if pad:
         return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
     return xp
 
 
-def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, stride: int, padding: int, in_axis: int, opname: str):
-    """Shape checks shared by the three convolutions; ``in_axis`` is the kernel's input-channel axis."""
+def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opname: str) -> int:
+    """The checks of the three convolutions; returns the kernel side k. ``in_axis`` is the kernel's input-channel
+    axis and sets k's parity: 1 (k odd) for conv2d and masked_conv2d, 0 (k even) for conv2d_transposed."""
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(f"{opname}: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
-    if stride < 1 or padding < 0:
-        raise ValueError(f"{opname}: stride must be >= 1 and padding >= 0")
+    k = kernel.shape[2]
+    if kernel.shape[3] != k or k < 1 or k % 2 != in_axis:
+        raise ValueError(f"{opname}: kernel must be square with an {('even', 'odd')[in_axis]} side, "
+                         f"got {k}x{kernel.shape[3]}")
     c_in, c_out = kernel.shape[in_axis], kernel.shape[1 - in_axis]
     if x.shape[1] != c_in:
         raise ValueError(f"{opname}: input has {x.shape[1]} channels but kernel expects {c_in}")
     if bias.shape != (c_out,):
         raise ValueError(f"{opname}: bias shape {bias.shape} does not match {c_out} output channels")
+    return k
 
 
 # One im2col cross-correlation serves all three convolutions. conv2d and
-# masked_conv2d run it as is (_corr_forward, _corr_backward). conv2d_transposed
-# runs its sides swapped: its forward is the input gradient, col2im(k2.T @ x),
-# and its input gradient the forward, k2 @ im2col(g). All three take the
-# kernel gradient, sum over n of a[n] @ b[n].T, from _kernel_grad.
+# masked_conv2d run it as is, same-padded (_corr_forward, _corr_backward).
+# conv2d_transposed runs its sides swapped: its forward is the input gradient,
+# col2im(k2.T @ x), and its input gradient the forward, k2 @ im2col(g). All
+# three take the kernel gradient, sum over n of a[n] @ b[n].T, from _kernel_grad.
 def _kernel_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, kh: int, kw: int, stride: int, pad: int):
-    cols, oh, ow = _im2col(x.data, kh, kw, stride, pad)
+def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, k: int, stride: int):
+    cols, oh, ow = _im2col(x.data, k, stride, k // 2)
     out = np.matmul(k2, cols) + bias.data.reshape(1, -1, 1)  # [n, o, oh*ow]
     return out.reshape(x.shape[0], -1, oh, ow), cols
 
 
-def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, kh, kw, stride, pad, mask=None) -> None:
+def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, k, stride, mask=None) -> None:
     g2 = g.reshape(g.shape[0], g.shape[1], -1)
     if bias.requires_grad:
         bias.accumulate_grad(g2.sum(axis=(0, 2)))
@@ -416,48 +421,41 @@ def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, kh, kw,
         dk = _kernel_grad(g2, cols).reshape(kernel.shape)
         kernel.accumulate_grad(dk if mask is None else dk * mask)
     if x.requires_grad:
-        x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, kh, kw, stride, pad, *g.shape[2:]))
+        x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, k, stride, k // 2, *g.shape[2:]))
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation. Kernel layout [out_ch, in_ch, kh, kw]."""
-    _check_conv_args(x, kernel, bias, stride, padding, 1, "conv2d")
-    o, c, kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
-    k2 = kernel.data.reshape(o, c * kh * kw)
-    data, cols = _corr_forward(x, k2, bias, kh, kw, stride, padding)
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
+    """2-d cross-correlation, same-padded. Kernel layout [out_ch, in_ch, k, k], k odd."""
+    k = _check_conv_args(x, kernel, bias, 1, "conv2d")
+    if stride < 1:
+        raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
+    k2 = kernel.data.reshape(kernel.shape[0], kernel.shape[1] * k * k)
+    data, cols = _corr_forward(x, k2, bias, k, stride)
 
     def bwd(g):
-        _corr_backward(g, x, kernel, bias, k2, cols, kh, kw, stride, padding)
+        _corr_backward(g, x, kernel, bias, k2, cols, k, stride)
 
     return _make_out(data, (x, kernel, bias), bwd)
 
 
-def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Transposed convolution (gradient-of-conv2d semantics).
+def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """The x2 upsampler: transposed convolution (gradient-of-conv2d semantics), H x W -> 2H x 2W.
 
-    Kernel layout [in_ch, out_ch, kh, kw]; output spatial size is
-    (H-1)*stride - 2*padding + kh. Even kernels are allowed, which is how
-    exact 2x upsampling stages are built (e.g. k=4, stride=2, padding=1).
+    Kernel layout [in_ch, out_ch, k, k], k even; stride 2 and padding
+    k // 2 - 1, so the output is exactly twice the input on each side.
     """
-    _check_conv_args(x, kernel, bias, stride, padding, 0, "conv2d_transposed")
+    k = _check_conv_args(x, kernel, bias, 0, "conv2d_transposed")
     n, ci, h, w = x.shape
-    _, co, kh, kw = kernel.shape
-    oh = (h - 1) * stride - 2 * padding + kh
-    ow = (w - 1) * stride - 2 * padding + kw
-    if oh <= 0 or ow <= 0:
-        raise ValueError("conv2d_transposed: non-positive output size")
-
-    k2 = kernel.data.reshape(ci, co * kh * kw)
+    co, pad = kernel.shape[1], k // 2 - 1
+    k2 = kernel.data.reshape(ci, co * k * k)
     x2 = x.data.reshape(n, ci, h * w)
-    data = _col2im(np.matmul(k2.T, x2), (n, co, oh, ow), kh, kw, stride, padding, h, w)
+    data = _col2im(np.matmul(k2.T, x2), (n, co, 2 * h, 2 * w), k, 2, pad, h, w)
     data += bias.data.reshape(1, co, 1, 1)
 
     def bwd(g):
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        gcols, _, _ = _im2col(g, kh, kw, stride, padding)  # back to [n, co*kh*kw, h*w]
+        gcols, _, _ = _im2col(g, k, 2, pad)  # back to [n, co*k*k, h*w]
         if kernel.requires_grad:
             kernel.accumulate_grad(_kernel_grad(x2, gcols).reshape(kernel.shape))
         if x.requires_grad:
@@ -466,31 +464,25 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, 
     return _make_out(data, (x, kernel, bias), bwd)
 
 
-def mask_a(kh: int, kw: int) -> np.ndarray:
-    """Mask-A kernel mask: zero at the center tap and every later raster tap."""
-    m = np.ones((kh, kw), dtype=np.float64)
-    center = (kh // 2) * kw + (kw // 2)
-    flat = m.reshape(-1)
-    flat[center:] = 0.0
+def mask_a(k: int) -> np.ndarray:
+    """Mask-A mask of a k x k kernel: zero at the center tap and every later raster tap."""
+    m = np.ones((k, k), dtype=np.float64)
+    m.reshape(-1)[k * k // 2 :] = 0.0
     return m
 
 
 def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Causal convolution: output at raster position p sees only inputs before p.
 
-    Stride 1 with same-size padding; the kernel must be square with odd size.
-    The mask zeroes the kernel before application, so the gradient w.r.t. the
-    kernel is zero on masked taps.
+    Stride 1 and same-padded, as conv2d. The mask zeroes the kernel before
+    application, so the gradient w.r.t. the kernel is zero on masked taps.
     """
-    _check_conv_args(x, kernel, bias, 1, 0, 1, "masked_conv2d")
-    o, c, kh, kw = kernel.shape
-    if kh != kw or kh % 2 == 0:
-        raise ValueError(f"masked_conv2d: kernel must be square with odd size, got {kh}x{kw}")
-    mask = mask_a(kh, kw)
-    k2 = (kernel.data * mask).reshape(o, c * kh * kw)
-    data, cols = _corr_forward(x, k2, bias, kh, kw, 1, kh // 2)
+    k = _check_conv_args(x, kernel, bias, 1, "masked_conv2d")
+    mask = mask_a(k)
+    k2 = (kernel.data * mask).reshape(kernel.shape[0], kernel.shape[1] * k * k)
+    data, cols = _corr_forward(x, k2, bias, k, 1)
 
     def bwd(g):
-        _corr_backward(g, x, kernel, bias, k2, cols, kh, kw, 1, kh // 2, mask)
+        _corr_backward(g, x, kernel, bias, k2, cols, k, 1, mask)
 
     return _make_out(data, (x, kernel, bias), bwd)

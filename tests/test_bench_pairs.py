@@ -16,9 +16,9 @@ def lower(name, bound):
     return {"name": name, "better": "lower", "bound": bound}
 
 
-def run(workload, pair, side, failed=0, attempted=6, **metrics):
+def run(workload, pair, side, failed=0, attempted=6, no_result=False, **metrics):
     return {"workload": workload, "pair": pair, "seed": 0, "side": side, "failed": failed,
-            "attempted": attempted, "metrics": metrics}
+            "attempted": attempted, "no_result": no_result, "metrics": metrics}
 
 
 def test_quartiles_interpolate_between_order_statistics():
@@ -43,11 +43,30 @@ def test_summary_counts_lower_pairs_ties_and_failures():
     assert codec["bpsp"]["ties"] == 3 and codec["bpsp"]["change_lower_in"] == 0
     assert codec["bpsp"]["verdict"] == "ok"
     assert "peak_rss_mb" not in codec
-    assert codec["failed"] == {"parent": 0, "change": 0, "attempted_parent": 18, "attempted_change": 18}
+    assert codec["failed"] == {"parent": 0, "change": 0, "attempted_parent": 18, "attempted_change": 18,
+                               "no_result_parent": 0, "no_result_change": 0}
     # a run without metrics takes its pair out of every metric but still counts its failures
     train = summary["train/seed0"]
     assert train["pairs"] == 1 and "op_s" not in train
-    assert train["failed"] == {"parent": 0, "change": 1, "attempted_parent": 6, "attempted_change": 4}
+    assert train["failed"] == {"parent": 0, "change": 1, "attempted_parent": 6, "attempted_change": 4,
+                               "no_result_parent": 0, "no_result_change": 0}
+
+
+def crashing_tree(tree, code):
+    """A tree whose benchmark prints its environment line and exits with ``code`` before any result."""
+    return write_tree(tree, {"perfbench/run.py": f'print("env {{}}")\nraise SystemExit({code})\n'.encode()})
+
+
+def test_a_run_that_printed_no_result_counts_as_failed_on_its_side(tmp_path):
+    record, environment = bench_pairs.run_once(crashing_tree(tmp_path, 3), "train", 0, 1, "change", 0)
+    assert environment == {}
+    assert record["no_result"] and record["exit_code"] == 3 and record["metrics"] == {}
+    runs = [run("train", 0, "parent", op_s=1.0), run("train", 0, "change", op_s=1.0),
+            run("train", 1, "parent", op_s=1.0), record]
+    train = bench_pairs.summarize(runs, [lower("op_s", 0.25)])["train/seed0"]
+    assert train["failed"] == {"parent": 0, "change": 0, "attempted_parent": 12, "attempted_change": 6,
+                               "no_result_parent": 0, "no_result_change": 1}
+    assert train["pairs"] == 2 and train["op_s"]["change_q1_median_q3"] == [1.0, 1.0, 1.0]
 
 
 def test_unpaired_run_is_left_out():
@@ -195,3 +214,16 @@ def test_bit_gates_run_once_per_side_and_compare_the_lines(monkeypatch, change_s
     trees = {"parent": Path("parent"), "change": Path("change")}
     assert bench_pairs.bit_gates(trees) == {"bit_gate": lines, "bit_identical": identical}
     assert calls == [trees["parent"], trees["change"]]
+
+
+def test_copy_checkout_takes_the_working_tree_as_git_lists_it(tmp_path):
+    repo = committed_tree(tmp_path / "repo", {**BENCH_FILES, "src/gone.py": b"x = 1\n"})
+    write_tree(repo, {"perfbench/run.py": b"print(2)\n", "src/new.py": b"y = 2\n", "perfbench/out/result.json": b"{}"})
+    (repo / "src" / "gone.py").unlink()
+    into = tmp_path / "copy"
+    into.mkdir()
+    bench_pairs.copy_checkout(repo, into)
+    copied = sorted(path.relative_to(into).as_posix() for path in into.rglob("*") if path.is_file())
+    # modified and untracked files as they are now; the ignored and the deleted file left out
+    assert copied == [".gitignore", "BENCHMARK.json", "perfbench/run.py", "perfbench/weights/a.lhgw", "src/new.py"]
+    assert (into / "perfbench" / "run.py").read_bytes() == b"print(2)\n"

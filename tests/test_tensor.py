@@ -49,22 +49,23 @@ class TestConv2d:
         x = Tensor(RNG.normal(size=(1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 1, 1)))
         b = Tensor(np.zeros(1))
-        out = T.conv2d(x, k, b, stride=1, padding=0)
+        out = T.conv2d(x, k, b)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_all_ones_sums_to_nine(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = T.conv2d(x, k, Tensor(np.zeros(1)), stride=1, padding=0)
-        assert out.shape == (1, 1, 1, 1)
-        assert out.item() == 9.0
+        out = T.conv2d(x, k, Tensor(np.zeros(1)))
+        assert out.shape == (1, 1, 3, 3)  # same padding: the centre sees all nine taps, a corner four
+        assert out.data[0, 0, 1, 1] == 9.0 and out.data[0, 0, 0, 0] == 4.0
 
+    # the oracle's padding pad is the same padding of a side 2 * pad + 1 kernel: 1x1 at 0, 3x3 at 1
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
     def test_matches_naive_loop(self, stride, pad):
         x = RNG.normal(size=(1, 2, 5, 5))
-        k = RNG.normal(size=(3, 2, 3, 3))
+        k = RNG.normal(size=(3, 2, 2 * pad + 1, 2 * pad + 1))
         b = RNG.normal(size=3)
-        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=pad)
+        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride)
         ref = naive_conv2d(x, k, b, stride, pad)
         assert rel_err(out.data, ref) < 1e-12
 
@@ -76,44 +77,66 @@ class TestConv2d:
         with pytest.raises(ValueError, match="odd"):
             T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), zero_bias(1))
 
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            T.conv2d(Tensor(np.zeros((1, 1, 6, 6))), Tensor(np.zeros((1, 1, 3, 5))), zero_bias(1))
+
+    def test_stride_below_one_rejected(self):
+        with pytest.raises(ValueError, match="stride"):
+            T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), zero_bias(1), stride=0)
+
 
 class TestConvTransposed:
     def test_identity(self):
+        """The upsampler's identity: a 2x2 kernel with one unit tap puts x on the even grid and zeros between."""
         x = Tensor(RNG.normal(size=(1, 1, 4, 4)))
-        k = Tensor(np.ones((1, 1, 1, 1)))
-        out = T.conv2d_transposed(x, k, zero_bias(1), stride=1, padding=0)
-        np.testing.assert_array_equal(out.data, x.data)
+        k = np.zeros((1, 1, 2, 2))
+        k[0, 0, 0, 0] = 1.0
+        out = T.conv2d_transposed(x, Tensor(k), zero_bias(1))
+        expected = np.zeros((1, 1, 8, 8))
+        expected[:, :, ::2, ::2] = x.data
+        np.testing.assert_array_equal(out.data, expected)
 
     def test_block_replication_upsampling(self):
         x = np.arange(4.0).reshape(1, 1, 2, 2)
         k = np.ones((1, 1, 2, 2))
-        out = T.conv2d_transposed(Tensor(x), Tensor(k), zero_bias(1), stride=2, padding=0)
+        out = T.conv2d_transposed(Tensor(x), Tensor(k), zero_bias(1))
         expected = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
         np.testing.assert_array_equal(out.data, expected)
 
-    @pytest.mark.parametrize("stride,pad,k", [(1, 0, 3), (2, 0, 2), (2, 1, 4), (2, 1, 3)])
+    # (stride, pad) are the oracle's: the engine's one upsampler runs a side-k kernel at stride 2, padding k // 2 - 1
+    @pytest.mark.parametrize("stride,pad,k", [(2, 0, 2), (2, 1, 4), (2, 2, 6)])
     def test_matches_naive_scatter(self, stride, pad, k):
         x = RNG.normal(size=(2, 2, 3, 3))
         kern = RNG.normal(size=(2, 3, k, k))
         b = RNG.normal(size=3)
-        out = T.conv2d_transposed(Tensor(x), Tensor(kern), Tensor(b), stride=stride, padding=pad)
+        out = T.conv2d_transposed(Tensor(x), Tensor(kern), Tensor(b))
         ref = naive_conv2d_transposed(x, kern, b, stride, pad)
+        assert out.shape == (2, 3, 6, 6)
         assert rel_err(out.data, ref) < 1e-12
+
+    def test_odd_kernel_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            T.conv2d_transposed(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), zero_bias(1))
 
     def test_down_up_restores_spatial_dims(self):
         x = Tensor(RNG.normal(size=(1, 4, 8, 8)))
         k_down = Tensor(RNG.normal(size=(6, 4, 3, 3)))
         k_up = Tensor(RNG.normal(size=(6, 4, 4, 4)))
-        down = T.conv2d(x, k_down, zero_bias(6), stride=2, padding=1)
-        up = T.conv2d_transposed(down, k_up, zero_bias(4), stride=2, padding=1)
+        down = T.conv2d(x, k_down, zero_bias(6), stride=2)
+        up = T.conv2d_transposed(down, k_up, zero_bias(4))
         assert up.shape[2:] == x.shape[2:]
 
 
 class TestMaskedConv:
     def test_mask_a_zero_pattern(self):
-        m = T.mask_a(3, 3)
-        expected = np.array([[1, 1, 1], [1, 0, 0], [0, 0, 0]], dtype=float)
-        np.testing.assert_array_equal(m, expected)
+        expected = {
+            1: [[0]],
+            3: [[1, 1, 1], [1, 0, 0], [0, 0, 0]],
+            5: [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+        }
+        for k, rows in expected.items():
+            np.testing.assert_array_equal(T.mask_a(k), np.array(rows, dtype=float))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -446,23 +469,21 @@ class TestGradientsAgainstFiniteDifferences:
         assert rel_err(analytic[0], fd[0], floor=1e-6) < 1e-4
         assert rel_err(analytic[1], fd[1], floor=1e-6) < 1e-4
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])  # a side 2 * pad + 1 kernel, as test_matches_naive_loop
     def test_conv2d_grads(self, stride, pad):
         x = RNG.normal(size=(2, 2, 5, 5))
-        k = RNG.normal(size=(3, 2, 3, 3))
+        k = RNG.normal(size=(3, 2, 2 * pad + 1, 2 * pad + 1))
         b = RNG.normal(size=3)
-        analytic, fd = grad_of(lambda xx, kk, bb: T.conv2d(xx, kk, bb, stride=stride, padding=pad), x, k, b)
+        analytic, fd = grad_of(lambda xx, kk, bb: T.conv2d(xx, kk, bb, stride=stride), x, k, b)
         for got, want in zip(analytic, fd):
             assert rel_err(got, want, floor=1e-6) < 1e-4
 
-    @pytest.mark.parametrize("stride,pad,ks", [(1, 0, 3), (2, 1, 4)])
-    def test_conv2d_transposed_grads(self, stride, pad, ks):
+    @pytest.mark.parametrize("ks", [2, 4])
+    def test_conv2d_transposed_grads(self, ks):
         x = RNG.normal(size=(2, 2, 4, 4))
         k = RNG.normal(size=(2, 3, ks, ks))
         b = RNG.normal(size=3)
-        analytic, fd = grad_of(
-            lambda xx, kk, bb: T.conv2d_transposed(xx, kk, bb, stride=stride, padding=pad), x, k, b
-        )
+        analytic, fd = grad_of(T.conv2d_transposed, x, k, b)
         for got, want in zip(analytic, fd):
             assert rel_err(got, want, floor=1e-6) < 1e-4
 
@@ -503,29 +524,29 @@ def oracle_grad(oracle, x, k, i, g, stride, pad):
 class TestConvCoreExact:
     """The shared correlation core, checked to rounding error rather than to finite-difference accuracy."""
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (2, 0)])  # a side 2 * pad + 1 kernel
     def test_conv2d_grads_match_naive_loop(self, stride, pad):
-        x, k, b = RNG.normal(size=(1, 2, 5, 5)), RNG.normal(size=(3, 2, 3, 3)), RNG.normal(size=3)
+        x, k, b = RNG.normal(size=(1, 2, 5, 5)), RNG.normal(size=(3, 2, 2 * pad + 1, 2 * pad + 1)), RNG.normal(size=3)
         g = RNG.normal(size=naive_conv2d(x, k, b, stride, pad).shape)
-        _, dx, dk, _ = engine_grads(T.conv2d, x, k, b, g, stride=stride, padding=pad)
+        _, dx, dk, _ = engine_grads(T.conv2d, x, k, b, g, stride=stride)
         assert rel_err(dx, oracle_grad(naive_conv2d, x, k, 0, g, stride, pad)) < 1e-12
         assert rel_err(dk, oracle_grad(naive_conv2d, x, k, 1, g, stride, pad)) < 1e-12
 
-    @pytest.mark.parametrize("stride,pad,ks", [(1, 0, 3), (2, 0, 2), (2, 1, 4), (2, 1, 3)])
+    @pytest.mark.parametrize("stride,pad,ks", [(2, 0, 2), (2, 1, 4), (2, 2, 6)])  # as test_matches_naive_scatter
     def test_conv2d_transposed_grads_match_naive_scatter(self, stride, pad, ks):
         x, k, b = RNG.normal(size=(2, 2, 3, 3)), RNG.normal(size=(2, 3, ks, ks)), RNG.normal(size=3)
         g = RNG.normal(size=naive_conv2d_transposed(x, k, b, stride, pad).shape)
-        _, dx, dk, _ = engine_grads(T.conv2d_transposed, x, k, b, g, stride=stride, padding=pad)
+        _, dx, dk, _ = engine_grads(T.conv2d_transposed, x, k, b, g)
         assert rel_err(dx, oracle_grad(naive_conv2d_transposed, x, k, 0, g, stride, pad)) < 1e-12
         assert rel_err(dk, oracle_grad(naive_conv2d_transposed, x, k, 1, g, stride, pad)) < 1e-12
 
     @pytest.mark.parametrize("ks", [3, 5])
     def test_masked_conv2d_is_conv2d_with_masked_kernel(self, ks):
         x, k, b = RNG.normal(size=(2, 3, 6, 7)), RNG.normal(size=(4, 3, ks, ks)), RNG.normal(size=4)
-        mask = T.mask_a(ks, ks)
+        mask = T.mask_a(ks)
         g = RNG.normal(size=(2, 4, 6, 7))
         out, dx, dk, db = engine_grads(T.masked_conv2d, x, k, b, g)
-        ref_out, ref_dx, ref_dk, ref_db = engine_grads(T.conv2d, x, k * mask, b, g, padding=ks // 2)
+        ref_out, ref_dx, ref_dk, ref_db = engine_grads(T.conv2d, x, k * mask, b, g)
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(dx, ref_dx)
         np.testing.assert_array_equal(dk, ref_dk * mask)
@@ -551,6 +572,6 @@ class TestDeterminism:
         x = RNG.normal(size=(2, 3, 8, 8))
         k = RNG.normal(size=(4, 3, 3, 3))
         b = RNG.normal(size=4)
-        a = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2, padding=1)
-        bb = T.conv2d(Tensor(x.copy()), Tensor(k.copy()), Tensor(b.copy()), stride=2, padding=1)
+        a = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2)
+        bb = T.conv2d(Tensor(x.copy()), Tensor(k.copy()), Tensor(b.copy()), stride=2)
         assert np.array_equal(a.data, bb.data)

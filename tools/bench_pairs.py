@@ -4,15 +4,18 @@
     python3 tools/bench_pairs.py --out BENCH_9.json --pairs 10 --seed 0 --claim codec_ctx/peak_rss_mb
 
 The parent commit (``--parent``, default HEAD) is exported with
-``git archive`` into a temporary directory, which is removed afterwards;
-the change side is this checkout's working tree. Every pair runs
+``git archive`` into a temporary directory, and this checkout's working
+tree is copied next to it before the first run (see ``copy_checkout``), so
+edits made while the pairs run reach neither side; both are removed
+afterwards. Every pair runs
 ``python3 perfbench/run.py --workload W --seed S`` once in each tree,
 one process at a time, and the side that runs first alternates from
 pair to pair, so drift of the host falls on both sides alike. The
-output keeps every run and, per workload and metric, the quartiles of
-each side, the number of pairs in which the change is lower, the ties,
-and the failed operations, and a verdict (see ``verdict``) against the
-metric's bound in ``BENCHMARK.json``. ``--claim WORKLOAD/METRIC`` names the
+output keeps every run with its exit code and, per workload and metric,
+the quartiles of each side, the number of pairs in which the change is
+lower, the ties, the failed operations and the runs that printed no
+result, and a verdict (see ``verdict``) against the metric's bound in
+``BENCHMARK.json``. ``--claim WORKLOAD/METRIC`` names the
 gain the change claims; both names must be in ``BENCHMARK.json``, and
 ``claim_met`` (see ``claim_met``) says whether the runs show it. The
 output also records ``src_lines`` of each side (see ``src_lines``),
@@ -93,7 +96,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and seed: quartiles of each side, pairs where the change is lower, ties, verdict, failures.
 
     ``end_to_end`` holds BENCHMARK.json's metric entries (name, better,
-    bound). A metric enters a pair only when both of its runs produced it.
+    bound). A metric enters a pair only when both of its runs produced it,
+    so a run that printed no result drops out of every metric; ``failed``
+    counts such runs per side, next to the failed operations.
     """
     summary: dict[str, dict] = {}
     for key in dict.fromkeys(_key(r) for r in runs):
@@ -116,6 +121,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "change": sum(r["failed"] for r in sides["change"].values()),
             "attempted_parent": sum(r["attempted"] for r in sides["parent"].values()),
             "attempted_change": sum(r["attempted"] for r in sides["change"].values()),
+            "no_result_parent": sum(r["no_result"] for r in sides["parent"].values()),
+            "no_result_change": sum(r["no_result"] for r in sides["change"].values()),
         }
         summary[key] = entry
     return summary
@@ -176,8 +183,29 @@ def export(rev: str, into: Path) -> None:
         raise subprocess.CalledProcessError(archive.returncode, "git archive")
 
 
-def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
-    """One benchmark process in ``tree``; returns its result line and its environment line."""
+def copy_checkout(repo: Path, into: Path) -> None:
+    """Copy into ``into`` the files of ``repo``'s working tree that git tracks or would track.
+
+    These are the files of ``git ls-files --cached --others --exclude-standard``:
+    tracked files as they are now, and untracked files that git does not
+    ignore (so ``perfbench/out/`` and ``__pycache__`` stay behind). A tracked
+    file deleted in the working tree is left out.
+    """
+    names = subprocess.run(["git", "-C", str(repo), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           stdout=subprocess.PIPE, check=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        if (repo / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(repo / name, into / name)
+
+
+def run_once(tree: Path, workload: str, seed: int, pair: int, side: str, order: int) -> tuple[dict, dict]:
+    """One benchmark process in ``tree`` as an entry of the output's ``runs``, and its environment line.
+
+    ``exit_code`` says how the process ended. A run that printed no result
+    line (a crash, a kill) has ``no_result`` true, no metrics and no operations.
+    """
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
@@ -187,8 +215,12 @@ def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         print(f"{workload} in {tree} exited with code {proc.returncode} and no result", file=sys.stderr)
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
-    return result, environment
+        result = None
+    got = result or {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    return {"workload": workload, "pair": pair, "seed": seed, "side": side, "order": order, "started_utc": started,
+            "exit_code": proc.returncode, "no_result": result is None, "correct": got["correct"],
+            "attempted": got["attempted"], "failed": got["failed"],
+            "metrics": {k: v["value"] for k, v in got["metrics"].items()}}, environment
 
 
 def main() -> int:
@@ -210,10 +242,13 @@ def main() -> int:
                             check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
     runs: list[dict] = []
     host: dict = {}
-    tmp = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        export(parent, tmp)
-        trees = {"parent": tmp, "change": ROOT}
+        trees = {"parent": tmp / "parent", "change": tmp / "change"}
+        for tree in trees.values():
+            tree.mkdir()
+        export(parent, trees["parent"])
+        copy_checkout(ROOT, trees["change"])
         lines = {side: src_lines(tree) for side, tree in trees.items()}
         unchanged = benchmark_unchanged(ROOT, parent, spec["paths"])
         gates = bit_gates(trees)
@@ -222,13 +257,9 @@ def main() -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in [w["name"] for w in spec["workloads"]]:
                 for position, side in enumerate(order):
-                    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-                    result, environment = run_once(trees[side], workload, args.seed)
+                    record, environment = run_once(trees[side], workload, args.seed, pair, side, position)
                     host = host or environment
-                    runs.append({"workload": workload, "pair": pair, "seed": args.seed, "side": side,
-                                 "order": position, "started_utc": started, "correct": result["correct"],
-                                 "attempted": result["attempted"], "failed": result["failed"],
-                                 "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+                    runs.append(record)
                     print(f"pair {pair} {workload} {side}: {runs[-1]['metrics']}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
@@ -238,7 +269,7 @@ def main() -> int:
         "parent_commit": parent,
         "change": args.change,
         "command": f"python3 perfbench/run.py --workload <workload> --seed {args.seed} "
-                   f"({spec['run_seconds']}-s runs, the benchmark default), run once in a checkout of each side",
+                   f"({spec['run_seconds']}-s runs, the benchmark default), run once in a copy of each side",
         "produced_by": "python3 tools/bench_pairs.py " + " ".join(
             a if " " not in a else json.dumps(a) for a in sys.argv[1:]),
         "protocol": "each pair runs both sides back to back, one process at a time; "
