@@ -10,7 +10,13 @@ explicit, through ``broadcast_to``, whose backward sums. Convolutions
 take a square kernel and a bias, and the engine sets their geometry:
 ``conv2d`` and ``masked_conv2d`` take an odd side k and pad by k // 2, and
 ``conv2d_transposed`` is the one x2 upsampler, an even side k at stride 2
-and padding k // 2 - 1, so H x W becomes 2H x 2W.
+and padding k // 2 - 1, so H x W becomes 2H x 2W. ``masked_conv2d`` is
+mask A: it gathers and multiplies only the k * k // 2 taps before each
+window's centre, so no output reads an input at or after its own raster
+position. Its output equals ``conv2d`` on the masked kernel up to rounding
+(a shorter sum), its gradients bit for bit, with 0.0 on the masked taps.
+A 1x1 convolution at stride 1 is a plain matmul on a view of its input,
+and it saves that view for backward; so no op writes an activation in place.
 Gradients are recorded on an explicit :class:`GradTape`, of which at most
 one is active: entering a second raises. Replaying the tape in reverse
 execution order is a valid topological order by construction.
@@ -211,13 +217,12 @@ def clamp(x: Tensor, lo: float) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    pos = x.data > 0.0
-    data = np.where(pos, x.data, slope * x.data)
+    factor = np.where(x.data > 0.0, 1.0, slope)
 
     def bwd(g):
-        x.accumulate_grad(g * np.where(pos, 1.0, slope))
+        x.accumulate_grad(g * factor)
 
-    return _make_out(data, (x,), bwd)
+    return _make_out(x.data * factor, (x,), bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -357,25 +362,33 @@ def concat(tensors, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, taps: int):
+    """[n, c * taps, oh * ow] columns of each window's first ``taps`` raster taps; a 1x1 kernel at stride 1 views x."""
     n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # [n, c, oh, ow, k, k]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, oh * ow)
-    return cols, oh, ow
+    if taps == 1 and stride == 1:
+        return x.reshape(n, c, h * w), oh, ow
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    cols = np.empty((n, c, taps, oh, ow))
+    for t in range(taps):
+        u, v = divmod(t, k)
+        cols[:, :, t] = xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride]
+    return cols.reshape(n, c * taps, oh * ow), oh, ow
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
+    """The adjoint of _im2col; the number of taps is read from the shape of ``cols``."""
     n, c, h, w = x_shape
+    taps = cols.shape[1] // c
+    if taps == 1 and stride == 1:
+        return cols.reshape(x_shape)
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-    cols6 = cols.reshape(n, c, k, k, oh, ow)
-    for u in range(k):
-        for v in range(k):
-            xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols6[:, :, u, v]
+    cols5 = cols.reshape(n, c, taps, oh, ow)
+    for t in range(taps):
+        u, v = divmod(t, k)
+        xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
     if pad:
         return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
     return xp
@@ -399,27 +412,32 @@ def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opna
 
 
 # One im2col cross-correlation serves all three convolutions. conv2d and
-# masked_conv2d run it as is, same-padded (_corr_forward, _corr_backward).
-# conv2d_transposed runs its sides swapped: its forward is the input gradient,
-# col2im(k2.T @ x), and its input gradient the forward, k2 @ im2col(g). All
-# three take the kernel gradient, sum over n of a[n] @ b[n].T, from _kernel_grad.
+# masked_conv2d run it as is, same-padded (_corr_forward, _corr_backward), on
+# the first t = k2.shape[1] // c raster taps of each kernel channel: all k * k
+# for conv2d, the causal k * k // 2 for masked_conv2d. conv2d_transposed runs its
+# sides swapped: its forward is the input gradient, col2im(k2.T @ x), and its
+# input gradient the forward, k2 @ im2col(g). All three take the kernel
+# gradient, sum over n of a[n] @ b[n].T, from _kernel_grad.
 def _kernel_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, k: int, stride: int):
-    cols, oh, ow = _im2col(x.data, k, stride, k // 2)
-    out = np.matmul(k2, cols) + bias.data.reshape(1, -1, 1)  # [n, o, oh*ow]
+    cols, oh, ow = _im2col(x.data, k, stride, k // 2, k2.shape[1] // x.shape[1])
+    out = np.matmul(k2, cols)  # [n, o, oh*ow]
+    out += bias.data.reshape(1, -1, 1)
     return out.reshape(x.shape[0], -1, oh, ow), cols
 
 
-def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, k, stride, mask=None) -> None:
+def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, k, stride) -> None:
     g2 = g.reshape(g.shape[0], g.shape[1], -1)
     if bias.requires_grad:
         bias.accumulate_grad(g2.sum(axis=(0, 2)))
     if kernel.requires_grad:
-        dk = _kernel_grad(g2, cols).reshape(kernel.shape)
-        kernel.accumulate_grad(dk if mask is None else dk * mask)
+        o, c = kernel.shape[:2]
+        dk = np.zeros(kernel.shape)  # 0.0 on the taps k2 leaves out
+        dk.reshape(o, c, k * k)[:, :, : k2.shape[1] // c] = _kernel_grad(g2, cols).reshape(o, c, -1)
+        kernel.accumulate_grad(dk)
     if x.requires_grad:
         x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, k, stride, k // 2, *g.shape[2:]))
 
@@ -455,7 +473,7 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     def bwd(g):
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        gcols, _, _ = _im2col(g, k, 2, pad)  # back to [n, co*k*k, h*w]
+        gcols, _, _ = _im2col(g, k, 2, pad, k * k)  # back to [n, co*k*k, h*w]
         if kernel.requires_grad:
             kernel.accumulate_grad(_kernel_grad(x2, gcols).reshape(kernel.shape))
         if x.requires_grad:
@@ -464,25 +482,20 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return _make_out(data, (x, kernel, bias), bwd)
 
 
-def mask_a(k: int) -> np.ndarray:
-    """Mask-A mask of a k x k kernel: zero at the center tap and every later raster tap."""
-    m = np.ones((k, k), dtype=np.float64)
-    m.reshape(-1)[k * k // 2 :] = 0.0
-    return m
-
-
 def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Causal convolution: output at raster position p sees only inputs before p.
+    """Causal (mask-A) convolution: the output at raster position p reads only inputs before p.
 
-    Stride 1 and same-padded, as conv2d. The mask zeroes the kernel before
-    application, so the gradient w.r.t. the kernel is zero on masked taps.
+    Stride 1 and same-padded, as conv2d, but only the k * k // 2 taps before
+    each window's centre are gathered and multiplied, so no input at or
+    after p enters output p, not even as 0 * inf or 0 * nan. The kernel's
+    later taps are never read, and their gradient is 0.0.
     """
     k = _check_conv_args(x, kernel, bias, 1, "masked_conv2d")
-    mask = mask_a(k)
-    k2 = (kernel.data * mask).reshape(kernel.shape[0], kernel.shape[1] * k * k)
+    o, c = kernel.shape[:2]
+    k2 = kernel.data.reshape(o, c, k * k)[:, :, : k * k // 2].reshape(o, -1)
     data, cols = _corr_forward(x, k2, bias, k, 1)
 
     def bwd(g):
-        _corr_backward(g, x, kernel, bias, k2, cols, k, 1, mask)
+        _corr_backward(g, x, kernel, bias, k2, cols, k, 1)
 
     return _make_out(data, (x, kernel, bias), bwd)

@@ -37,6 +37,13 @@ def naive_conv2d(x, k, b, stride, pad):
     return out
 
 
+def mask_a(k):
+    """Mask-A mask of a k x k kernel: zero at the center tap and every later raster tap."""
+    m = np.ones((k, k))
+    m.reshape(-1)[k * k // 2 :] = 0.0
+    return m
+
+
 def naive_conv2d_transposed(x, k, b, stride, pad):
     """Scatter-based transposed convolution reference. Kernel [ci, co, kh, kw]."""
     n, ci, h, w = x.shape

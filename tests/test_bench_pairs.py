@@ -200,10 +200,8 @@ def test_benchmark_unchanged_false_for_any_edit_to_its_files(tmp_path, edit):
     assert not bench_pairs.benchmark_unchanged(repo, change, ["perfbench"])
 
 
-@pytest.mark.parametrize("change_sha,identical", [("ab", True), ("cd", False)])
-def test_bit_gates_run_once_per_side_and_compare_the_lines(monkeypatch, change_sha, identical):
-    lines = {"parent": {"train_digest8": "f5", "train_bpsp": 6.5, "containers_sha256": "ab"},
-             "change": {"train_digest8": "f5", "train_bpsp": 6.5, "containers_sha256": change_sha}}
+def fake_bit_gates(monkeypatch, lines):
+    """``bench_pairs.bit_gates`` of two trees named after their sides, whose gates print ``lines``; and its calls."""
     calls = []
 
     def fake_run_bit_gate(tree):
@@ -211,9 +209,28 @@ def test_bit_gates_run_once_per_side_and_compare_the_lines(monkeypatch, change_s
         return lines[tree.name]
 
     monkeypatch.setattr(bench_pairs, "run_bit_gate", fake_run_bit_gate)
-    trees = {"parent": Path("parent"), "change": Path("change")}
-    assert bench_pairs.bit_gates(trees) == {"bit_gate": lines, "bit_identical": identical}
-    assert calls == [trees["parent"], trees["change"]]
+    return bench_pairs.bit_gates({"parent": Path("parent"), "change": Path("change")}), calls
+
+
+@pytest.mark.parametrize("change_sha,identical", [("ab", True), ("cd", False)])
+def test_bit_gates_run_once_per_side_and_compare_the_lines(monkeypatch, change_sha, identical):
+    lines = {"parent": {"train_digest8": "f5", "train_bpsp": 6.5, "containers_sha256": "ab"},
+             "change": {"train_digest8": "f5", "train_bpsp": 6.5, "containers_sha256": change_sha}}
+    gates, calls = fake_bit_gates(monkeypatch, lines)
+    assert gates == {"bit_gate": lines, "bit_identical": identical,
+                     "bit_gate_differs": [] if identical else ["containers_sha256"]}
+    assert calls == [Path("parent"), Path("change")]
+
+
+@pytest.mark.parametrize("change_fields,differs", [
+    ({"train_digest8": "73"}, ["train_digest8"]),  # training rounds differently, the coded bytes are the same
+    ({"train_digest8": "73", "train_bpsp": 6.25}, ["train_bpsp", "train_digest8"]),
+    ({"extra": 1}, ["extra"]),  # a field on one side only
+])
+def test_bit_gate_differs_names_each_field_that_differs(monkeypatch, change_fields, differs):
+    parent = {"train_digest8": "f5", "train_bpsp": 6.5, "containers_sha256": "ab"}
+    gates, _ = fake_bit_gates(monkeypatch, {"parent": parent, "change": {**parent, **change_fields}})
+    assert gates["bit_gate_differs"] == differs and not gates["bit_identical"]
 
 
 def test_copy_checkout_takes_the_working_tree_as_git_lists_it(tmp_path):

@@ -193,21 +193,29 @@ class TestContextCausality:
         # decode-path consistency: at each raster position, parameters from a
         # buffer that only has the strict prefix filled in must equal the
         # whole-plane evaluation bitwise
-        w = tiny_weights
-        cy = w.config.latent_channels
-        h_, w_ = 4, 5
-        y_q = np.round(RNG.normal(size=(1, cy, h_, w_)) * 2)
-        feat = Tensor(RNG.normal(size=(1, w.config.hidden, h_, w_)))
-        full = M.context_fuse(Tensor(y_q), feat, w)
-        buf = np.zeros_like(y_q)
-        for pos in range(h_ * w_):
-            i, j = divmod(pos, w_)
-            partial = M.context_fuse(Tensor(buf.copy()), feat, w)
-            for name in ("weights", "means", "scales"):
-                got = getattr(partial, name).data[..., i, j]
-                want = getattr(full, name).data[..., i, j]
-                np.testing.assert_array_equal(got, want)
-            buf[0, :, i, j] = y_q[0, :, i, j]
+        assert_prefix_evaluation_matches_whole_plane(tiny_weights, 4, 5, RNG)
+
+    def test_sequential_prefix_evaluation_matches_whole_plane_at_default_width(self):
+        # 32 latent channels: the masked dot has 32 * 12 = 384 terms, which
+        # BLAS sums in several blocks, against 96 for the tiny config
+        w = init_weights(ModelConfig(), seed=3)
+        assert_prefix_evaluation_matches_whole_plane(w, 5, 6, np.random.default_rng(7))
+
+
+def assert_prefix_evaluation_matches_whole_plane(w, h_, w_, rng):
+    cy = w.config.latent_channels
+    y_q = np.round(rng.normal(size=(1, cy, h_, w_)) * 2)
+    feat = Tensor(rng.normal(size=(1, w.config.hidden, h_, w_)))
+    full = M.context_fuse(Tensor(y_q), feat, w)
+    buf = np.zeros_like(y_q)
+    for pos in range(h_ * w_):
+        i, j = divmod(pos, w_)
+        partial = M.context_fuse(Tensor(buf.copy()), feat, w)
+        for name in ("weights", "means", "scales"):
+            got = getattr(partial, name).data[..., i, j]
+            want = getattr(full, name).data[..., i, j]
+            np.testing.assert_array_equal(got, want)
+        buf[0, :, i, j] = y_q[0, :, i, j]
 
 
 class TestForwardModes:

@@ -11,7 +11,7 @@ import pytest
 import lhgm.tensor as T
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import central_difference_grad, naive_conv2d, naive_conv2d_transposed, phi, rel_err
+from oracles import central_difference_grad, mask_a, naive_conv2d, naive_conv2d_transposed, phi, rel_err
 
 RNG = np.random.default_rng(20240811)
 
@@ -136,7 +136,7 @@ class TestMaskedConv:
             5: [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
         }
         for k, rows in expected.items():
-            np.testing.assert_array_equal(T.mask_a(k), np.array(rows, dtype=float))
+            np.testing.assert_array_equal(mask_a(k), np.array(rows, dtype=float))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -153,6 +153,30 @@ class TestMaskedConv:
         # nothing before (3,4) in raster order may move either
         np.testing.assert_array_equal(base[0, :, :3, :], bumped[0, :, :3, :])
         np.testing.assert_array_equal(base[0, :, 3, :4], bumped[0, :, 3, :4])
+
+    def test_no_output_up_to_p_reads_an_input_from_p_on(self):
+        # a masked tap is never multiplied, so even a nan or an inf at or
+        # after p leaves every output up to p finite and exact
+        x = RNG.normal(size=(1, 2, 6, 6))
+        k = Tensor(RNG.normal(size=(3, 2, 5, 5)))
+        clean = T.masked_conv2d(Tensor(x), k, zero_bias(3)).data.reshape(3, 36)
+        for p in range(36):
+            for bad in (np.nan, np.inf):
+                xp = x.reshape(2, 36).copy()
+                xp[:, p:] = bad
+                with np.errstate(invalid="ignore"):  # the outputs after p may meet inf - inf
+                    out = T.masked_conv2d(Tensor(xp.reshape(x.shape)), k, zero_bias(3)).data.reshape(3, 36)
+                assert np.isfinite(out[:, : p + 1]).all()
+                np.testing.assert_array_equal(out[:, : p + 1], clean[:, : p + 1])
+
+    def test_one_by_one_mask_has_no_tap(self):
+        # k = 1: the centre is the only tap and it is masked, so the output is the bias
+        x, k, b = RNG.normal(size=(1, 2, 3, 4)), RNG.normal(size=(3, 2, 1, 1)), RNG.normal(size=3)
+        out, dx, dk, db = engine_grads(T.masked_conv2d, x, k, b, np.ones((1, 3, 3, 4)))
+        np.testing.assert_array_equal(out, np.broadcast_to(b.reshape(1, 3, 1, 1), out.shape))
+        np.testing.assert_array_equal(dx, np.zeros_like(x))
+        np.testing.assert_array_equal(dk, np.zeros_like(k))
+        np.testing.assert_array_equal(db, np.full(3, 12.0))
 
     def test_perturbation_reaches_raster_successors(self):
         x = RNG.normal(size=(1, 1, 6, 6))
@@ -543,13 +567,17 @@ class TestConvCoreExact:
     @pytest.mark.parametrize("ks", [3, 5])
     def test_masked_conv2d_is_conv2d_with_masked_kernel(self, ks):
         x, k, b = RNG.normal(size=(2, 3, 6, 7)), RNG.normal(size=(4, 3, ks, ks)), RNG.normal(size=4)
-        mask = T.mask_a(ks)
+        mask = mask_a(ks)
         g = RNG.normal(size=(2, 4, 6, 7))
         out, dx, dk, db = engine_grads(T.masked_conv2d, x, k, b, g)
         ref_out, ref_dx, ref_dk, ref_db = engine_grads(T.conv2d, x, k * mask, b, g)
-        np.testing.assert_array_equal(out, ref_out)
+        # the forward sums c * (ks * ks // 2) products, conv2d c * ks * ks, so BLAS may round them differently;
+        # the outputs are of order 1, so the floor of 1 bounds the error of the entries near 0 absolutely
+        assert rel_err(out, ref_out, floor=1.0) < 1e-13
+        assert rel_err(out, naive_conv2d(x, k * mask, b, 1, ks // 2), floor=1.0) < 1e-12
         np.testing.assert_array_equal(dx, ref_dx)
         np.testing.assert_array_equal(dk, ref_dk * mask)
+        assert np.all(dk[:, :, mask == 0.0] == 0.0)
         np.testing.assert_array_equal(db, ref_db)
 
     # (op, kernel shape for 2 input and 1 output channels, kernel shape for 3 input channels)

@@ -21,7 +21,8 @@ gain the change claims; both names must be in ``BENCHMARK.json``, and
 output also records ``src_lines`` of each side (see ``src_lines``),
 whether the benchmark's own files in this checkout are as at the parent
 (see ``benchmark_unchanged``), and the line ``tools/bit_gate.py`` prints
-for each side with whether the two are equal (see ``bit_gates``).
+for each side, whether the two are equal and which of their fields differ
+(see ``bit_gates``).
 """
 
 from __future__ import annotations
@@ -169,9 +170,12 @@ def run_bit_gate(tree: Path) -> dict:
 
 
 def bit_gates(trees: dict[str, Path]) -> dict:
-    """``bit_gate``: the gate line of each side, run once; ``bit_identical``: whether the two lines are equal."""
+    """``bit_gate``: the gate line of each side, run once; ``bit_identical``: whether the two lines are equal;
+    ``bit_gate_differs``: the sorted names of the fields whose values differ (a field on one side only differs)."""
     gates = {side: run_bit_gate(tree) for side, tree in trees.items()}
-    return {"bit_gate": gates, "bit_identical": gates["parent"] == gates["change"]}
+    parent, change = gates["parent"], gates["change"]
+    differs = sorted(name for name in parent.keys() | change.keys() if parent.get(name) != change.get(name))
+    return {"bit_gate": gates, "bit_identical": not differs, "bit_gate_differs": differs}
 
 
 def export(rev: str, into: Path) -> None:
