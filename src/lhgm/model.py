@@ -25,7 +25,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import tensor as T
-from .distributions import SIGMA_MIN, FactorizedPrior, MixtureParams
+from .distributions import SIGMA_MIN, FactorizedPrior, MixtureParams, _softplus_inv
 from .tensor import Tensor
 
 WEIGHTS_MAGIC = b"LHGW"
@@ -35,8 +35,8 @@ WEIGHTS_VERSION = 1
 # head movement cover the decades between "constant patch" (~0.2) and
 # "noise patch" (~70); raw head outputs start at sigma_x ~ 8, sigma_y ~ 1.
 _SCALE_SPAN_X = 32.0
-_SCALE_BIAS_X = float(np.log(np.expm1(8.0 / _SCALE_SPAN_X)))
-_SCALE_BIAS_Y = float(np.log(np.expm1(1.0)))
+_SCALE_BIAS_X = _softplus_inv(8.0 / _SCALE_SPAN_X)
+_SCALE_BIAS_Y = _softplus_inv(1.0)
 
 
 FIELD_TYPES = {"int": int, "float": float, "bool": bool}  # by the annotation of a config field

@@ -389,9 +389,7 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
     for t in range(taps):
         u, v = divmod(t, k)
         xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
-    if pad:
-        return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
-    return xp
+    return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])  # no copy at pad 0
 
 
 def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opname: str) -> int:

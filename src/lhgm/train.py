@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -111,18 +111,12 @@ def loss(outputs: ForwardOutputs, x: Tensor, step: int, config: TrainConfig) -> 
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int
-    skipped: int = 0
+    """Adam's moments by parameter name, each made as zeros at that parameter's first gradient."""
 
-    @classmethod
-    def init(cls, params: dict[str, Tensor]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
-            t=0,
-        )
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    t: int = 0
+    skipped: int = 0
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
@@ -139,8 +133,9 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         g = p.grad
         if g is None:
             continue
-        m = state.m[name]
-        v = state.v[name]
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m *= _BETA1
         m += (1.0 - _BETA1) * g
         v *= _BETA2
@@ -208,7 +203,7 @@ def train_loop(
     noise_rng = np.random.default_rng(noise_seq)
 
     params = weights.tensors
-    state = AdamState.init(params)
+    state = AdamState()
     metrics: list[MetricsRow] = []
     start = time.monotonic()
     initial_total = None

@@ -31,7 +31,7 @@ class TestAdam:
     def test_matches_hand_rolled_recursion(self):
         grads = [0.3, -1.2, 0.7, 2.0, -0.1, 1e-4]
         params = scalar_param()
-        state = AdamState.init(params)
+        state = AdamState()
         got = []
         for g in grads:
             params["theta"].grad = np.array(g)
@@ -43,7 +43,7 @@ class TestAdam:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_skips_step(self, bad):
         params = scalar_param()
-        state = AdamState.init(params)
+        state = AdamState()
         params["theta"].grad = np.array(0.5)
         adam_step(params, state, lr=0.01)
         before = float(params["theta"].data)
@@ -54,6 +54,47 @@ class TestAdam:
         assert state.skipped == 1
         assert float(params["theta"].data) == before
         assert np.array_equal(state.m["theta"], m) and np.array_equal(state.v["theta"], v)
+
+    def test_moments_made_at_first_gradient_equal_moments_made_at_start(self):
+        # "late" has no gradient at steps 1 and 2; its bias correction still reads the global t
+        grads = {"early": [0.3, -1.2, 0.7, 2.0, -0.1], "late": [None, None, 0.7, -0.4, 1e-3]}
+
+        def run(state):
+            params = {name: Tensor(np.zeros(3), requires_grad=True) for name in grads}
+            late_has_moments = []
+            for step in range(5):
+                for name, p in params.items():
+                    g = grads[name][step]
+                    p.grad = None if g is None else np.array([g, -g, 2.0 * g])
+                adam_step(params, state, lr=0.01)
+                late_has_moments.append("late" in state.m and "late" in state.v)
+            return params, state, late_has_moments
+
+        lazy, lazy_state, made = run(AdamState())
+        assert made == [False, False, True, True, True]
+        eager, eager_state, _ = run(AdamState(m={name: np.zeros(3) for name in grads},
+                                              v={name: np.zeros(3) for name in grads}))
+        for name in grads:
+            assert np.array_equal(lazy[name].data, eager[name].data)
+            assert np.array_equal(lazy_state.m[name], eager_state.m[name])
+            assert np.array_equal(lazy_state.v[name], eager_state.v[name])
+        assert np.all(lazy["late"].data != 0.0) and lazy_state.t == eager_state.t == 5
+
+    @pytest.mark.parametrize("context_model,dead", [(True, ("hh.",)), (False, ("ctx.", "fu0.", "fu1."))])
+    def test_no_moments_for_the_y_head_a_config_never_runs(self, monkeypatch, context_model, dead):
+        states, real_adam_step = [], TR.adam_step
+
+        def recording(params, state, lr):
+            states.append(state)
+            return real_adam_step(params, state, lr)
+
+        monkeypatch.setattr(TR, "adam_step", recording)
+        model_config = ModelConfig.tiny(context_model=context_model)
+        train_loop(tiny_schedule(steps=2), smooth_corpus(0), model_config=model_config)
+        state = states[-1]
+        live = [name for name in M.param_shapes(model_config) if not name.startswith(dead)]
+        assert len(live) < len(M.param_shapes(model_config))
+        assert list(state.m) == live and list(state.v) == live
 
 
 class TestLambdaSchedule:
