@@ -28,14 +28,18 @@ alphabet gets mass 1. An alphabet of A symbols costs A + 1 edge
 evaluations per component, one Phi per edge.
 
 Memory contract of the table path: ``mixture_pmf`` fills its preallocated
-[elements, alphabet.size] result in fixed blocks of rows, so beyond the
-result itself it holds O(block * K * alphabet.size) scratch however many
-elements it is given. Rows are independent, so the block size changes no
-value.
+[elements, alphabet.size] result in fixed blocks of rows, on up to
+``_PMF_MAX_WORKERS`` threads. The calling thread makes one block of
+scratch per thread before any starts, so beyond the result itself the
+build holds at most 4 blocks of O(block * K * alphabet.size) scratch,
+however many elements and CPUs there are. Rows are independent, so
+neither the block size nor the thread count changes a value.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +52,13 @@ SIGMA_MIN = 1e-6
 LIKELIHOOD_FLOOR = 2.0**-64
 _LN2 = float(np.log(2.0))
 # Rows per mixture_pmf block. On the 27648-row table of a 96x96 image,
-# blocks of 16 to 128 rows ran equally fast (larger ones slower); 64 rows
-# keep the scratch near 2 MB.
+# blocks of 16 to 128 rows ran equally fast (larger ones slower). At the
+# pixel alphabet one block of scratch is about 0.9 MB, and a build holds at
+# most _PMF_MAX_WORKERS of them, all made on the calling thread.
 _PMF_BLOCK_ROWS = 64
+# Most threads one mixture_pmf builds its table on. Scratch made inside a
+# worker would stay in that thread's malloc arena after it is freed.
+_PMF_MAX_WORKERS = 4
 # The factorized prior's per-channel network, 1 -> 3 -> 3 -> 3 -> 1, and the
 # scale of its initial slopes; the committed weight files fix depth and width.
 _PRIOR_DEPTH = 4
@@ -153,11 +161,18 @@ def mixture_mean(params: MixtureParams) -> Tensor:
     return T.reduce_sum(params.weights * params.means, axis=1)
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def mixture_pmf(weights: np.ndarray, means: np.ndarray, scales: np.ndarray, alphabet: Alphabet) -> np.ndarray:
     """PMF table [elements, alphabet.size] from flat [elements, K] arrays, built in row blocks.
 
     Each block evaluates the alphabet.size + 1 bin edges once per
-    component (see the module docstring).
+    component (see the module docstring). With W = min(usable CPUs,
+    _PMF_MAX_WORKERS, blocks) above 1, worker j of W threads fills blocks
+    j, j + W, ...; ufuncs release the GIL, and every thread runs the same
+    float64 expressions in the same order, so the table does not depend on W.
     """
     if weights.ndim != 2 or not weights.shape == means.shape == scales.shape:
         raise ValueError(
@@ -165,16 +180,44 @@ def mixture_pmf(weights: np.ndarray, means: np.ndarray, scales: np.ndarray, alph
             f"got {weights.shape}, {means.shape} and {scales.shape}"
         )
     edges = np.concatenate(([-np.inf], np.arange(alphabet.lo, alphabet.hi) + 0.5, [np.inf]))
-    out = np.empty((weights.shape[0], alphabet.size))
-    for start in range(0, weights.shape[0], _PMF_BLOCK_ROWS):
-        rows = slice(start, start + _PMF_BLOCK_ROWS)
-        t = (edges - means[rows, :, None]) / scales[rows, :, None]  # [block, K, A + 1]
-        above = t > 0.0
-        g = ndtr(-np.abs(t))
-        np.negative(g, out=g, where=above)
-        p = g[:, :, 1:] - g[:, :, :-1]
-        p += above[:, :, 1:] > above[:, :, :-1]
-        np.sum(weights[rows, :, None] * p, axis=1, out=out[rows])
+    elements, k = weights.shape
+    out = np.empty((elements, alphabet.size))
+    starts = range(0, elements, _PMF_BLOCK_ROWS)
+    workers = max(1, min(_usable_cpus(), _PMF_MAX_WORKERS, len(starts)))
+    block = min(elements, _PMF_BLOCK_ROWS)
+    scratch = [
+        (
+            np.empty((block, k, alphabet.size + 1)),
+            np.empty((block, k, alphabet.size + 1), dtype=bool),
+            np.empty((block, k, alphabet.size)),
+            np.empty((block, k, alphabet.size), dtype=bool),
+        )
+        for _ in range(workers)
+    ]
+
+    def fill(j: int) -> None:
+        for start in starts[j::workers]:
+            rows = slice(start, start + _PMF_BLOCK_ROWS)
+            n = min(_PMF_BLOCK_ROWS, elements - start)
+            t, above, p, straddle = (a[:n] for a in scratch[j])
+            np.subtract(edges, means[rows, :, None], out=t)  # t = (e - mu) / sigma, [n, K, A + 1]
+            t /= scales[rows, :, None]
+            np.greater(t, 0.0, out=above)
+            np.abs(t, out=t)
+            np.negative(t, out=t)
+            ndtr(t, out=t)  # g = Phi(-|t|), negated above the mean
+            np.negative(t, out=t, where=above)
+            np.subtract(t[:, :, 1:], t[:, :, :-1], out=p)
+            np.greater(above[:, :, 1:], above[:, :, :-1], out=straddle)
+            p += straddle
+            p *= weights[rows, :, None]
+            np.sum(p, axis=1, out=out[rows])
+
+    if workers == 1:
+        fill(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(workers)))
     return out
 
 

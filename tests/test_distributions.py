@@ -166,16 +166,36 @@ B = D._PMF_BLOCK_ROWS
 
 
 class TestBlockedTable:
-    """mixture_pmf fills its table block by block; rows must equal the one-shot formula bit for bit."""
+    """mixture_pmf fills its table block by block, on min(usable CPUs, 4, blocks) threads; rows must
+    equal the one-shot formula bit for bit at any CPU count, including fewer blocks than workers."""
 
-    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 3, 5 * B + 1])
     @pytest.mark.parametrize("alphabet", [D.PIXEL_ALPHABET, Alphabet(-7, 9)], ids=["pixel", "small"])
-    def test_rows_equal_one_shot_formula(self, rows, alphabet):
+    def test_rows_equal_one_shot_formula(self, rows, alphabet, monkeypatch):
         arrays = flat_mixture(rows, lo=alphabet.lo, hi=alphabet.hi)
-        got = D.mixture_pmf(*arrays, alphabet)
         want = one_shot_mixture_pmf(*arrays, alphabet.lo, alphabet.hi)
-        assert got.shape == (rows, alphabet.size)
-        assert np.array_equal(got, want)
+        for cpus in (1, 2, 5, 64):
+            monkeypatch.setattr(D, "_usable_cpus", lambda: cpus)
+            got = D.mixture_pmf(*arrays, alphabet)
+            assert got.shape == (rows, alphabet.size)
+            assert np.array_equal(got, want), cpus
+
+    @pytest.mark.parametrize(
+        "cpus, rows, threads",
+        [(1, 5 * B + 1, None), (64, B, None), (2, 5 * B + 1, 2), (5, 2 * B + 3, 3), (64, 5 * B + 1, 4)],
+    )
+    def test_thread_count(self, monkeypatch, cpus, rows, threads):
+        started = []
+
+        class RecordingPool(D.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(D, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(D, "ThreadPoolExecutor", RecordingPool)
+        D.mixture_pmf(*flat_mixture(rows, k=2), D.PIXEL_ALPHABET)
+        assert started == ([] if threads is None else [threads])
 
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["weights", "means", "scales"])
     @pytest.mark.parametrize("bad_shape", [(10, 1), (10,), (1, 10, 3)], ids=["column", "flat", "3d"])
@@ -212,10 +232,13 @@ class TestTablePathMemory:
     def mixture(self):
         return flat_mixture(96 * 96 * 3, rng=np.random.default_rng(5))
 
-    def test_mixture_pmf_peak(self, mixture):
-        table, peak = traced_peak(D.mixture_pmf, *mixture, D.PIXEL_ALPHABET)
-        assert table.shape == (96 * 96 * 3, 256)
-        assert peak <= table.nbytes + self.SCRATCH
+    def test_mixture_pmf_peak(self, mixture, monkeypatch):
+        # on this host's CPUs, then as on a 64-CPU host: the thread cap bounds the scratch
+        for cpus in (D._usable_cpus(), 64):
+            monkeypatch.setattr(D, "_usable_cpus", lambda: cpus)
+            table, peak = traced_peak(D.mixture_pmf, *mixture, D.PIXEL_ALPHABET)
+            assert table.shape == (96 * 96 * 3, 256)
+            assert peak <= table.nbytes + self.SCRATCH, cpus
 
     def test_quantize_cdf_batch_peak(self, mixture):
         # 4 bytes per cumulative: an int64 table alone would exceed the bound

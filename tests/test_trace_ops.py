@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lhgm.distributions as D
 import lhgm.tensor as T
 from lhgm.tensor import Tensor
 
@@ -57,3 +58,19 @@ def test_timed_op_records_a_closure_named_after_it(op):
     with RecordingTape() as tape:
         CALLS[op]()
     assert [name.split(".", 1)[0] for name in tape.qualnames] == [op]
+
+
+def test_threaded_mixture_pmf_records_one_span(monkeypatch):
+    # the tracer's span stack is not thread-safe: nothing it wraps may run in a pmf worker
+    monkeypatch.setattr(D, "_usable_cpus", lambda: 2)
+    rows = 2 * D._PMF_BLOCK_ROWS + 1  # three blocks
+    weights = np.full((rows, 3), 1.0 / 3.0)
+    means, scales = RNG.uniform(0.0, 255.0, size=(rows, 3)), RNG.uniform(0.5, 50.0, size=(rows, 3))
+    tracer = trace.Tracer()
+    tracer.install()
+    try:
+        D.mixture_pmf(weights, means, scales, D.PIXEL_ALPHABET)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["distributions.mixture_pmf"]
+    assert tracer._stack == []
