@@ -125,7 +125,8 @@ def _signed_tail(edge: Tensor, params: MixtureParams, folded: np.ndarray | None)
     on folded edges, whose tail is the constant 0.
     """
     t = (edge - params.means) / params.scales
-    c = np.where(t.data > 0.0, -1.0, 1.0)
+    scalar = t.data.dtype.type
+    c = np.where(t.data > 0.0, scalar(-1.0), scalar(1.0))
     if folded is not None:
         c[np.broadcast_to(folded, c.shape)] = 0.0
     sign = Tensor(c)
@@ -139,8 +140,9 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
     alphabet the edge bins receive the folded tail mass. During training
     ``values`` may be the noisy continuous latents, in which case no
     alphabet is passed and the plain CDF difference is evaluated. The
-    expression is the one of the module docstring, so with an alphabet
-    every entry equals the ``mixture_pmf`` table entry bit for bit.
+    expression is the one of the module docstring, so with an alphabet and
+    float64 parameters every entry equals the ``mixture_pmf`` table entry
+    bit for bit; float32 parameters give the same expression in float32.
     """
     n, k, c, h, w = params.weights.shape
     lo_fold = hi_fold = None
@@ -151,7 +153,7 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
     v = T.broadcast_to(T.reshape(values, (n, 1, c, h, w)), (n, k, c, h, w))
     g_upper, c_upper = _signed_tail(v + 0.5, params, hi_fold)
     g_lower, c_lower = _signed_tail(v - 0.5, params, lo_fold)
-    straddle = Tensor(((c_lower >= 0.0) & (c_upper <= 0.0)).astype(np.float64))
+    straddle = Tensor(((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype))
     per_comp = g_upper - g_lower + straddle
     return T.reduce_sum(params.weights * per_comp, axis=1)
 
@@ -294,9 +296,10 @@ class FactorizedPrior:
         upper = self.cumulative(values + 0.5)
         lower = self.cumulative(values - 0.5)
         if alphabet is not None:
-            at_hi = (values.data == alphabet.hi).astype(np.float64)
+            dtype = values.data.dtype
+            at_hi = (values.data == alphabet.hi).astype(dtype)
             upper = upper * Tensor(1.0 - at_hi) + Tensor(at_hi)
-            lower = lower * Tensor((values.data != alphabet.lo).astype(np.float64))
+            lower = lower * Tensor((values.data != alphabet.lo).astype(dtype))
         return upper - lower
 
     def pmf(self, alphabet: Alphabet) -> np.ndarray:

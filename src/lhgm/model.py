@@ -377,8 +377,8 @@ def synthesis(y_q: Tensor, w: ModelWeights) -> MixtureParams:
 
 
 def quantize_train(v: Tensor, rng: np.random.Generator) -> Tensor:
-    """Additive U(-1/2, 1/2) noise; the gradient passes through unchanged."""
-    return v + Tensor(rng.uniform(-0.5, 0.5, size=v.shape))
+    """Additive U(-1/2, 1/2) noise in ``v``'s dtype, drawn in float64; the gradient passes through unchanged."""
+    return v + Tensor(rng.uniform(-0.5, 0.5, size=v.shape).astype(v.data.dtype, copy=False))
 
 
 def quantize_infer(v: Tensor) -> Tensor:

@@ -1,13 +1,19 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
-Every array is float64 and layout is row-major NCHW. The public ops are
-this module's functions whose names do not start with ``_``. Ops take Tensors.
-``add``, ``sub``, ``mul`` and ``div`` are one body, ``_binary``, the one
-owner of their constant, shape and gradient rules: either operand may also
-be a Python or numpy scalar, which is a constant; a 0-d operand that needs
-a gradient must meet an operand of its own shape. Any other broadcast is
-explicit, through ``broadcast_to``, whose backward sums. Convolutions
-take a square kernel and a bias, and the engine sets their geometry:
+An array is float32 or float64, and layout is row-major NCHW. Every op
+follows the dtype of its inputs: its output and the gradients it passes
+back take that dtype, and so do the constants and masks it makes (a
+scalar operand, a slope, a sign or a zero fill). So a float64 caller, the
+codec among them, computes the same bits as a float64-only engine would,
+and a float32 one never leaves float32. The public ops are this module's
+functions whose names do not start with ``_``. Ops take Tensors. ``add``,
+``sub``, ``mul`` and ``div`` are one body, ``_binary``, the one owner of
+their constant, shape and gradient rules: either operand may also be a
+Python or numpy scalar, which is a constant of the other operand's dtype;
+a 0-d operand that needs a gradient must meet an operand of its own
+shape. Any other broadcast is explicit, through ``broadcast_to``, whose
+backward sums. Convolutions take a square kernel and a bias, and the
+engine sets their geometry:
 ``conv2d`` and ``masked_conv2d`` take an odd side k and pad by k // 2, and
 ``conv2d_transposed`` is the one x2 upsampler, an even side k at stride 2
 and padding k // 2 - 1, so H x W becomes 2H x 2W. ``masked_conv2d`` is
@@ -35,15 +41,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))  # a Python float keeps float32 float32
 
 class Tensor:
-    """N-dimensional float64 array, optionally tracked for gradients."""
+    """N-dimensional array, optionally tracked for gradients: float32 data stays float32, any other becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -65,13 +72,13 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` to the gradient; the first ``g`` is stored as a C-order copy.
+        """Add ``g`` to the gradient; the first ``g`` is stored as a C-order copy in this tensor's dtype.
 
         Backward closures may therefore pass views of their output's
         gradient or read-only broadcasts: no two tensors share a buffer.
         """
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            self.grad = np.array(g, dtype=self.data.dtype, order="C")
         else:
             self.grad += g
 
@@ -165,8 +172,10 @@ def _make_out(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
 def _binary(a, b, opname: str, data_fn, grad_a, grad_b) -> Tensor:
     """add, sub, mul and div: ``data_fn(x, y)`` of the operands' arrays, and ``grad_a(g, x, y)`` or
     ``grad_b(g, x, y)`` for each operand that needs a gradient; the constant and shape rules are the module's."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
+    if not isinstance(a, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    if not isinstance(b, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
     scalar = a if a.ndim == 0 else b if b.ndim == 0 else None
     if a.shape != b.shape and (scalar is None or scalar.requires_grad):
         raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape} (a 0-d operand must be a constant)")
@@ -217,7 +226,8 @@ def clamp(x: Tensor, lo: float) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    factor = np.where(x.data > 0.0, 1.0, slope)
+    scalar = x.data.dtype.type
+    factor = np.where(x.data > 0.0, scalar(1.0), scalar(slope))
 
     def bwd(g):
         x.accumulate_grad(g * factor)
@@ -369,9 +379,9 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, taps: int):
     ow = (w + 2 * pad - k) // stride + 1
     if taps == 1 and stride == 1:
         return x.reshape(n, c, h * w), oh, ow
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x
-    cols = np.empty((n, c, taps, oh, ow))
+    cols = np.empty((n, c, taps, oh, ow), dtype=x.dtype)
     for t in range(taps):
         u, v = divmod(t, k)
         cols[:, :, t] = xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride]
@@ -384,7 +394,7 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, o
     taps = cols.shape[1] // c
     if taps == 1 and stride == 1:
         return cols.reshape(x_shape)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols5 = cols.reshape(n, c, taps, oh, ow)
     for t in range(taps):
         u, v = divmod(t, k)
@@ -433,7 +443,7 @@ def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, k, stri
         bias.accumulate_grad(g2.sum(axis=(0, 2)))
     if kernel.requires_grad:
         o, c = kernel.shape[:2]
-        dk = np.zeros(kernel.shape)  # 0.0 on the taps k2 leaves out
+        dk = np.zeros(kernel.shape, dtype=g.dtype)  # 0.0 on the taps k2 leaves out
         dk.reshape(o, c, k * k)[:, :, : k2.shape[1] // c] = _kernel_grad(g2, cols).reshape(o, c, -1)
         kernel.accumulate_grad(dk)
     if x.requires_grad:

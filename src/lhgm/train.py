@@ -11,6 +11,13 @@ The desk-scale defaults keep every formula (two-phase schedule with a 10x
 drop over the last 16%, warm-up over the first 12%) but shrink the run to
 5000 steps and scale the learning rate up to 1e-3 so the short run can
 actually traverse parameter space; see the config docstring.
+
+Each step computes in float32 and keeps its state in float64, the usual
+mixed-precision recipe (Micikevicius et al., arXiv:1710.03740): forward,
+loss and backward run on a float32 copy of the weights and a float32
+batch, each float32 gradient is cast to float64 on its master parameter,
+and Adam updates the float64 weights from float64 moments. The weights a
+run returns, their file and everything the codec computes stay float64.
 """
 
 from __future__ import annotations
@@ -165,8 +172,8 @@ def eligible_images(corpus, patch: int) -> list:
 
 
 def sample_patches(corpus, patch: int, batch: int, rng: np.random.Generator) -> Tensor:
-    """Uniform random crops as a [batch, 3, patch, patch] tensor of raw pixels, from ``eligible_images`` output."""
-    out = np.empty((batch, 3, patch, patch), dtype=np.float64)
+    """Uniform random crops as a float32 [batch, 3, patch, patch] tensor of raw pixels, from ``eligible_images``."""
+    out = np.empty((batch, 3, patch, patch), dtype=np.float32)
     for b in range(batch):
         img = corpus[int(rng.integers(len(corpus)))]
         top = int(rng.integers(img.shape[0] - patch + 1))
@@ -212,12 +219,14 @@ def train_loop(
     for step in range(config.steps):
         lr = config.lr if step < config.lr_switch_step else config.lr_final
         x = sample_patches(corpus, config.patch, config.batch, crop_rng)
-        for p in params.values():
-            p.grad = None
+        compute = {name: Tensor(p.data.astype(np.float32), requires_grad=True) for name, p in params.items()}
         with GradTape():
-            out = M.forward(x, weights, "train", rng=noise_rng)
+            out = M.forward(x, ModelWeights(weights.config, compute), "train", rng=noise_rng)
             total, row = loss(out, x, step, config)
             T.backward(total)
+        for name, p in params.items():
+            g = compute[name].grad
+            p.grad = None if g is None else g.astype(np.float64)
 
         value = total.item()
         if initial_total is None and np.isfinite(value):

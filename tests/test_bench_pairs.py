@@ -244,3 +244,23 @@ def test_copy_checkout_takes_the_working_tree_as_git_lists_it(tmp_path):
     # modified and untracked files as they are now; the ignored and the deleted file left out
     assert copied == [".gitignore", "BENCHMARK.json", "perfbench/run.py", "perfbench/weights/a.lhgw", "src/new.py"]
     assert (into / "perfbench" / "run.py").read_bytes() == b"print(2)\n"
+
+
+@pytest.mark.parametrize("claim,runs", [({"workload": "train", "metric": "op_s"}, True),
+                                        ({"workload": "codec_ctx", "metric": "op_s"}, False),
+                                        ({"workload": "train", "metric": "peak_rss_mb"}, False),
+                                        (None, False)])
+def test_a_train_op_s_claim_runs_ab_train_once_on_the_two_trees(monkeypatch, claim, runs):
+    calls = []
+    line = {"ratios": [0.7, 0.8], "wins": 2, "of": 2}
+    monkeypatch.setattr(bench_pairs, "run_ab_train", lambda trees, seed: calls.append((trees, seed)) or line)
+    trees = {"parent": Path("parent"), "change": Path("change")}
+    assert bench_pairs.claim_checks(claim, trees, 3) == ({"ab_train": line} if runs else {})
+    assert calls == ([(trees, 3)] if runs else [])
+
+
+def test_run_ab_train_passes_the_parent_then_the_change_tree_and_the_seed(monkeypatch):
+    seen = []
+    monkeypatch.setattr(bench_pairs, "_tool_line", lambda script, *args: seen.append((script, args)) or {})
+    bench_pairs.run_ab_train({"change": Path("c"), "parent": Path("p")}, 3)
+    assert seen == [("ab_train.py", (Path("p"), Path("c"), "--seed", 3))]

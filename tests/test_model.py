@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lhgm.distributions as D
 import lhgm.model as M
 import lhgm.tensor as T
 import lhgm.train as TR
@@ -277,6 +278,55 @@ class TestForwardModes:
             T.backward(TR.loss(out, x, 0, TR.TrainConfig())[0])
         norms = {name: float(np.linalg.norm(w[name].grad)) for name in GOLDEN_GRAD_NORMS}
         assert norms == pytest.approx(GOLDEN_GRAD_NORMS, rel=1e-10, abs=0)
+
+    def test_golden_backward_fixture_in_float32(self):
+        # The same step as test_golden_backward_fixture, computed in float32
+        # as train_loop computes it, against the same frozen float64 norms.
+        # The largest relative gap is 5.4e-6 (ctx.w); 2e-5 leaves about 4x.
+        w = float32_copy(init_weights(ModelConfig.tiny(), seed=1234))
+        rng = np.random.default_rng(99)
+        x = Tensor(rng.integers(0, 256, size=(1, 3, 16, 16)).astype(np.float32))
+        with T.GradTape():
+            out = forward(x, w, "train", rng=np.random.default_rng(7))
+            T.backward(TR.loss(out, x, 0, TR.TrainConfig())[0])
+        norms = {name: float(np.linalg.norm(w[name].grad)) for name in GOLDEN_GRAD_NORMS}
+        assert norms == pytest.approx(GOLDEN_GRAD_NORMS, rel=2e-5, abs=0)
+
+
+def float32_copy(w: ModelWeights) -> ModelWeights:
+    """``w`` in float32, each tensor a fresh leaf that needs a gradient, as a training step computes."""
+    return ModelWeights(w.config, {name: Tensor(t.data.astype(np.float32), requires_grad=True)
+                                   for name, t in w.tensors.items()})
+
+
+class TestDtypePropagation:
+    @pytest.mark.parametrize("context_model", [True, False])
+    def test_float32_train_step_leaves_only_float32_outputs_and_grads(self, monkeypatch, context_model):
+        recorded, real_record = [], T.GradTape.record
+
+        def record(tape, out, backward_fn):
+            recorded.append(out)
+            real_record(tape, out, backward_fn)
+
+        monkeypatch.setattr(T.GradTape, "record", record)
+        w = float32_copy(init_weights(ModelConfig.tiny(context_model=context_model), seed=3))
+        x = Tensor(RNG.integers(0, 256, size=(2, 3, 16, 16)).astype(np.float32))
+        with T.GradTape():
+            out = forward(x, w, "train", rng=np.random.default_rng(7))
+            total, _ = TR.loss(out, x, 0, TR.TrainConfig())
+            T.backward(total)
+        assert len(recorded) > 100
+        assert {t.data.dtype for t in recorded} == {np.dtype(np.float32)}
+        grads = [t.grad for t in w.tensors.values() if t.grad is not None]
+        assert len(grads) > len(w.tensors) // 2
+        assert {g.dtype for g in grads} == {np.dtype(np.float32)}
+
+    def test_float64_inference_and_tables_stay_float64(self, tiny_weights):
+        out = forward(random_image(16, 16), tiny_weights, "infer")
+        planes = [out.y_q, out.z_q, *vars(out.params_x).values(), *vars(out.params_y).values()]
+        assert {t.data.dtype for t in planes} == {np.dtype(np.float64)}
+        table = D.mixture_pmf(*out.params_x.flat(), D.PIXEL_ALPHABET)
+        assert table.dtype == np.float64
 
 
 BLOB_SOURCES = ["default", "tiny", "default_ctx.lhgw", "tiny_hyper.lhgw"]

@@ -603,3 +603,57 @@ class TestDeterminism:
         a = T.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=2)
         bb = T.conv2d(Tensor(x.copy()), Tensor(k.copy()), Tensor(b.copy()), stride=2)
         assert np.array_equal(a.data, bb.data)
+
+
+# Each op on inputs of one dtype; ``leaf(*shape)`` makes a further input of that dtype that needs a gradient.
+DTYPE_CASES = {
+    "add": lambda x, leaf: T.add(x, leaf(*x.shape)),
+    "sub_constant": lambda x, leaf: T.sub(np.float64(1.5), x),
+    "mul_constant": lambda x, leaf: T.mul(x, 0.1),
+    "div": lambda x, leaf: T.div(x, leaf(*x.shape)),
+    "log": lambda x, leaf: T.log(x),
+    "clamp": lambda x, leaf: T.clamp(x, 1.0),
+    "leaky_relu": lambda x, leaf: T.leaky_relu(x - 1.0, 0.2),
+    "softplus": lambda x, leaf: T.softplus(x),
+    "tanh": lambda x, leaf: T.tanh(x),
+    "sigmoid": lambda x, leaf: T.sigmoid(x),
+    "softmax": lambda x, leaf: T.softmax(x, axis=1),
+    "reduce_sum": lambda x, leaf: T.reduce_sum(x, axis=2),
+    "std_normal_cdf": lambda x, leaf: T.std_normal_cdf(x),
+    "reshape": lambda x, leaf: T.reshape(x, (2, -1)),
+    "permute": lambda x, leaf: T.permute(x, (0, 2, 3, 1)),
+    "broadcast_to": lambda x, leaf: T.broadcast_to(T.narrow(x, 1, 0, 1), x.shape),
+    "narrow": lambda x, leaf: T.narrow(x, 1, 1, 2),
+    "concat": lambda x, leaf: T.concat([x, leaf(*x.shape)], axis=1),
+    "conv2d": lambda x, leaf: T.conv2d(x, leaf(3, 4, 3, 3), leaf(3), stride=2),
+    "conv2d_1x1": lambda x, leaf: T.conv2d(x, leaf(3, 4, 1, 1), leaf(3)),
+    "conv2d_transposed": lambda x, leaf: T.conv2d_transposed(x, leaf(4, 3, 4, 4), leaf(3)),
+    "masked_conv2d": lambda x, leaf: T.masked_conv2d(x, leaf(3, 4, 5, 5), leaf(3)),
+}
+
+
+class TestDtype:
+    """An op's output and gradients take the dtype of its inputs, and so do its constants."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", DTYPE_CASES)
+    def test_outputs_and_grads_follow_the_input_dtype(self, op, dtype):
+        leaves = []
+
+        def leaf(*shape):
+            leaves.append(Tensor(RNG.uniform(0.5, 2.0, size=shape).astype(dtype), requires_grad=True))
+            return leaves[-1]
+
+        x = leaf(2, 4, 6, 6)
+        with GradTape():
+            out = DTYPE_CASES[op](x, leaf)
+            T.backward(T.reduce_sum(out))
+        assert out.data.dtype == dtype
+        assert [t.grad.dtype for t in leaves] == [dtype] * len(leaves)
+
+    def test_float32_stays_float32_and_everything_else_becomes_float64(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+        for data in (np.ones(2, dtype=np.float16), np.arange(2), [1, 2], 0.5, np.ones(2, dtype=np.longdouble)):
+            assert Tensor(data).data.dtype == np.float64
+        x64 = np.ones(3)
+        assert Tensor(x64).data is x64  # float64 data is not copied

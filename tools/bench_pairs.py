@@ -22,7 +22,10 @@ output also records ``src_lines`` of each side (see ``src_lines``),
 whether the benchmark's own files in this checkout are as at the parent
 (see ``benchmark_unchanged``), and the line ``tools/bit_gate.py`` prints
 for each side, whether the two are equal and which of their fields differ
-(see ``bit_gates``).
+(see ``bit_gates``). With ``--claim train/op_s`` it also records, under
+``ab_train``, one run of ``tools/ab_train.py`` on the two trees at the same
+seed, which times both sides' training steps in one process (see
+``claim_checks``).
 """
 
 from __future__ import annotations
@@ -161,12 +164,31 @@ def benchmark_unchanged(repo: Path, parent: str, paths: list[str]) -> bool:
     return diff.returncode == 0 and not untracked
 
 
-def run_bit_gate(tree: Path) -> dict:
-    """The line ``tools/bit_gate.py`` prints for ``tree``, from a fresh process."""
+def _tool_line(script: str, *args) -> dict:
+    """The last line ``tools/<script>`` prints when run with ``args``, as JSON, from a fresh process."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bit_gate.py"), str(tree)],
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / script), *map(str, args)],
                           env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_bit_gate(tree: Path) -> dict:
+    """The line ``tools/bit_gate.py`` prints for ``tree``."""
+    return _tool_line("bit_gate.py", tree)
+
+
+def run_ab_train(trees: dict[str, Path], seed: int) -> dict:
+    """The result line of ``tools/ab_train.py`` on the parent and the change tree at ``seed``."""
+    return _tool_line("ab_train.py", trees["parent"], trees["change"], "--seed", seed)
+
+
+def claim_checks(claim: dict | None, trees: dict[str, Path], seed: int) -> dict:
+    """What a claim adds to the output: for ``train/op_s``, ``ab_train``, the two trees' steps timed in
+    alternating rounds of one process, because separate processes of one tree spread by more than a
+    10% step change; for any other claim, or none, nothing."""
+    if claim == {"workload": "train", "metric": "op_s"}:
+        return {"ab_train": run_ab_train(trees, seed)}
+    return {}
 
 
 def bit_gates(trees: dict[str, Path]) -> dict:
@@ -257,6 +279,9 @@ def main() -> int:
         unchanged = benchmark_unchanged(ROOT, parent, spec["paths"])
         gates = bit_gates(trees)
         print(f"bit gate: {gates}", flush=True)
+        checks = claim_checks(claim, trees, args.seed)
+        if checks:
+            print(f"claim checks: {checks}", flush=True)
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in [w["name"] for w in spec["workloads"]]:
@@ -280,6 +305,7 @@ def main() -> int:
                     "the side that runs first alternates from pair to pair",
         "host": host,
         "claim": claim,
+        **checks,
         "src_lines": lines,
         "benchmark_unchanged": unchanged,
         **gates,
