@@ -289,7 +289,8 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
 
 
 def std_normal_cdf(x: Tensor) -> Tensor:
-    """Standard normal CDF, elementwise; absolute error well under 1e-12."""
+    """Standard normal CDF, elementwise: absolute error well under 1e-12 on float64 input,
+    float32 precision (about 1e-7) on float32 input."""
     data = ndtr(x.data)
 
     def bwd(g):

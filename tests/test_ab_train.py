@@ -1,5 +1,6 @@
 """tools/ab_train.py: two trees' lhgm under two package names, timed in alternating rounds."""
 
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -36,6 +37,17 @@ def test_each_tree_loads_as_its_own_package(forget_packages):
     # every module of one side reads its engine from its own package
     assert a.train.T is a.tensor and a.model.T is a.tensor and b.train.T is b.tensor
     assert a.train.__file__ == str(ROOT / "src" / "lhgm" / "train.py")
+
+
+def test_setup_is_the_train_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    workloads = importlib.import_module("workloads")
+    assert (workloads.TRAIN_WEIGHTS, workloads.TRAIN_IMAGES, workloads.TRAIN_IMAGE_SIZE) == (
+        ab_train.WEIGHTS, ab_train.IMAGES, ab_train.IMAGE_SIZE)
+    config = workloads._train_config(0, ab_train.STEPS)
+    assert (config.steps, config.batch, config.patch, config.log_every) == (
+        ab_train.STEPS, ab_train.BATCH, ab_train.PATCH, 1)
 
 
 def test_one_round_per_side_gives_one_ratio(forget_packages, capsys):

@@ -1,6 +1,6 @@
 """In-process A/B of the training step: two trees' ``lhgm`` in alternating seeded rounds.
 
-    python3 tools/ab_train.py <parent-tree> <change-tree> [--rounds 8] [--steps 12] [--seed 0]
+    python3 tools/ab_train.py <parent-tree> <change-tree> [--seed 0]
 
 Each tree's ``src/lhgm`` is loaded under its own package name
 (``lhgm_parent``, ``lhgm_change``) through ``importlib``; ``lhgm`` imports
@@ -8,15 +8,15 @@ its own modules only relatively, so the two never share a module. Both
 sides run the ``train`` workload's set-up at seed S (``--seed``):
 ``default_ctx`` weights from the tree's ``perfbench/weights``,
 ``make_corpus(S, 32, 64)``, batch 8 and 32x32 patches. A round is one
-``train_loop`` of ``--steps`` steps from the loaded weights, seeded by S,
-so every round of one side repeats the same run; its time is its median
-step, as ``train`` op_s is a run's median step. Round r runs the parent
-first when r is even and the change first when it is odd, after one
-untimed warm-up round per side. The script prints a line per round and,
-last, one JSON line with each round's ratio change/parent, the ratios'
-quartiles and the wins (rounds whose ratio is below 1). One process for
-both sides takes out the process-to-process spread of ``train`` op_s.
-BLAS runs single-threaded, as in the benchmark.
+``train_loop`` of STEPS steps from the loaded weights, seeded by S, so
+every round of one side repeats the same run; its time is its median
+step, as ``train`` op_s is a run's median step. Of ROUNDS rounds, round r
+runs the parent first when r is even and the change first when it is
+odd, after one untimed warm-up round per side. The script prints a line
+per round and, last, one JSON line with each round's ratio change/parent,
+the ratios' quartiles and the wins (rounds whose ratio is below 1). One
+process for both sides takes out the process-to-process spread of
+``train`` op_s. BLAS runs single-threaded, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 WEIGHTS, IMAGES, IMAGE_SIZE, BATCH, PATCH = "default_ctx", 32, 64, 8, 32
+ROUNDS, STEPS = 8, 12
 
 
 def load_package(tree: Path, name: str):
@@ -94,16 +95,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="tree whose src/lhgm is the parent side")
     parser.add_argument("change", type=Path, help="tree whose src/lhgm is the change side")
-    parser.add_argument("--rounds", type=int, default=8)
-    parser.add_argument("--steps", type=int, default=12)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.rounds < 1 or args.steps < 1:
-        parser.error("--rounds and --steps must be at least 1")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # before either tree imports numpy
     print(json.dumps(run({"parent": args.parent.resolve(), "change": args.change.resolve()},
-                         args.rounds, args.steps, args.seed)))
+                         ROUNDS, STEPS, args.seed)))
     return 0
 
 
