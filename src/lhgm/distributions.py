@@ -8,7 +8,9 @@ the range coder needs.
 
 Pixels and latents use K-component discretized Gaussian mixtures, with
 one differentiable path for training (``mixture_prob``) and one table
-path for coding (``mixture_pmf``) that agree bit for bit. A learnable
+path for coding (``mixture_pmf``) that agree bit for bit. ``mixture_prob``
+is one recorded op: its forward is the table's expression in plain numpy,
+and its gradient is analytic (see its docstring). A learnable
 monotone-network prior models the hyper-latent channels that have no
 conditioning.
 
@@ -46,7 +48,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import _INV_SQRT_2PI, Tensor
 
 SIGMA_MIN = 1e-6
 LIKELIHOOD_FLOOR = 2.0**-64
@@ -118,44 +120,75 @@ class MixtureParams:
         return rearrange(self.weights), rearrange(self.means), rearrange(self.scales)
 
 
-def _signed_tail(edge: Tensor, params: MixtureParams, folded: np.ndarray | None) -> tuple[Tensor, np.ndarray]:
-    """Signed tail g = c * Phi(c * t) of one bin edge per component, and the factor c.
+def _signed_tail(edge: np.ndarray, params: MixtureParams, folded: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """t = (edge - mu) / sigma of one bin edge per component, its signed tail g = c * Phi(c * t), and c.
 
     c is +1 at or below the mean and -1 above it, so c * t = -|t|; it is 0
-    on folded edges, whose tail is the constant 0.
+    on folded edges, whose tail is the constant 0. Phi runs as the engine's
+    ``std_normal_cdf`` on a constant, which records nothing.
     """
-    t = (edge - params.means) / params.scales
-    scalar = t.data.dtype.type
-    c = np.where(t.data > 0.0, scalar(-1.0), scalar(1.0))
+    t = (edge - params.means.data) / params.scales.data
+    scalar = t.dtype.type
+    c = np.where(t > 0.0, scalar(-1.0), scalar(1.0))
     if folded is not None:
         c[np.broadcast_to(folded, c.shape)] = 0.0
-    sign = Tensor(c)
-    return T.std_normal_cdf(t * sign) * sign, c
+    return t, T.std_normal_cdf(Tensor(t * c)).data * c, c
+
+
+def _edge_density(t: np.ndarray, folded: np.ndarray | None) -> np.ndarray:
+    """f = phi(t) * c * c, the derivative of a signed tail in t: phi(t), and 0 on folded edges."""
+    f = _INV_SQRT_2PI * np.exp(-0.5 * t * t)
+    if folded is not None:
+        f[np.broadcast_to(folded, f.shape)] = 0.0
+    return f
 
 
 def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | None = None) -> Tensor:
-    """Differentiable mixture probability of integer-valued ``values``.
+    """Differentiable mixture probability of integer-valued ``values``, one recorded op.
 
     ``values`` is [N, C, H, W]; the result matches that shape. With an
     alphabet the edge bins receive the folded tail mass. During training
     ``values`` may be the noisy continuous latents, in which case no
     alphabet is passed and the plain CDF difference is evaluated. The
-    expression is the one of the module docstring, so with an alphabet and
-    float64 parameters every entry equals the ``mixture_pmf`` table entry
-    bit for bit; float32 parameters give the same expression in float32.
+    forward is the expression of the module docstring, in the order of the
+    table path, so with an alphabet and float64 parameters every entry
+    equals the ``mixture_pmf`` table entry bit for bit; float32 parameters
+    give the same expression in float32.
+
+    The gradient is analytic. With per = g(u) - g(l) + [straddle] the bin
+    mass of a component, f = phi(t) * c * c at each edge (0 on folded
+    edges) and G the upstream gradient: dw = G * per,
+    dmu = G * w * (f(l) - f(u)) / sigma, dsigma = G * w * (f(l) * t(l) -
+    f(u) * t(u)) / sigma, and dv = sum over k of G * w * (f(u) - f(l)) / sigma.
+    Backward keeps per and the two edges' t.
     """
-    n, k, c, h, w = params.weights.shape
+    weights, means, scales = params.weights, params.means, params.scales
+    n, _, c, h, w = weights.shape
     lo_fold = hi_fold = None
+    per_element = values.data.reshape(n, 1, c, h, w)
     if alphabet is not None:
         alphabet.check(values.data)
-        per_element = values.data.reshape(n, 1, c, h, w)
         lo_fold, hi_fold = per_element == alphabet.lo, per_element == alphabet.hi
-    v = T.broadcast_to(T.reshape(values, (n, 1, c, h, w)), (n, k, c, h, w))
-    g_upper, c_upper = _signed_tail(v + 0.5, params, hi_fold)
-    g_lower, c_lower = _signed_tail(v - 0.5, params, lo_fold)
-    straddle = Tensor(((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype))
-    per_comp = g_upper - g_lower + straddle
-    return T.reduce_sum(params.weights * per_comp, axis=1)
+    half = per_element.dtype.type(0.5)
+    t_upper, g_upper, c_upper = _signed_tail(per_element + half, params, hi_fold)
+    t_lower, g_lower, c_lower = _signed_tail(per_element - half, params, lo_fold)
+    per = g_upper - g_lower + ((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype)
+    del g_upper, g_lower, c_upper, c_lower  # before the weighted sum: backward keeps only per and the two t
+
+    def bwd(g):
+        g = g.reshape(n, 1, c, h, w)
+        if weights.requires_grad:
+            weights.accumulate_grad(g * per)
+        f_upper, f_lower = _edge_density(t_upper, hi_fold), _edge_density(t_lower, lo_fold)
+        g_over_sigma = g * weights.data / scales.data
+        if means.requires_grad:
+            means.accumulate_grad(g_over_sigma * (f_lower - f_upper))
+        if scales.requires_grad:
+            scales.accumulate_grad(g_over_sigma * (f_lower * t_lower - f_upper * t_upper))
+        if values.requires_grad:
+            values.accumulate_grad((g_over_sigma * (f_upper - f_lower)).sum(axis=1))
+
+    return T._make_out((weights.data * per).sum(axis=1), (weights, means, scales, values), bwd)
 
 
 def mixture_mean(params: MixtureParams) -> Tensor:

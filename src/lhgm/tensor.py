@@ -22,7 +22,8 @@ window's centre, so no output reads an input at or after its own raster
 position. Its output equals ``conv2d`` on the masked kernel up to rounding
 (a shorter sum), its gradients bit for bit, with 0.0 on the masked taps.
 A 1x1 convolution at stride 1 is a plain matmul on a view of its input,
-and it saves that view for backward; so no op writes an activation in place.
+and every convolution reads its input again in backward; so no op writes
+an activation in place.
 Gradients are recorded on an explicit :class:`GradTape`, of which at most
 one is active: entering a second raises. Replaying the tape in reverse
 execution order is a valid topological order by construction.
@@ -32,7 +33,11 @@ closure and the arrays the closure saved) lives from its op until
 backward has run its closure, and is then dropped; the output and its
 gradient survive only if the caller still holds the output. A step's
 peak is therefore the forward's saved set plus the gradients in flight,
-not the whole tape plus every gradient. Ops run without a tape record
+not the whole tape plus every gradient. Ops save little: ``conv2d`` and
+``masked_conv2d`` keep their input, not its im2col columns (k * k times
+the input for a k x k kernel), and gather the same columns again in
+backward for the kernel gradient, so every gradient is unchanged bit for
+bit; ``leaky_relu`` keeps a boolean mask. Ops run without a tape record
 nothing.
 """
 
@@ -226,13 +231,14 @@ def clamp(x: Tensor, lo: float) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    scalar = x.data.dtype.type
-    factor = np.where(x.data > 0.0, scalar(1.0), scalar(slope))
+    """x where x > 0, else slope * x, for any finite slope; backward keeps the boolean mask of x > 0."""
+    slope = x.data.dtype.type(slope)
+    positive = x.data > 0.0
 
     def bwd(g):
-        x.accumulate_grad(g * factor)
+        x.accumulate_grad(np.where(positive, g, g * slope))
 
-    return _make_out(x.data * factor, (x,), bwd)
+    return _make_out(np.where(positive, x.data, x.data * slope), (x,), bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -390,17 +396,34 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, taps: int):
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """The adjoint of _im2col; the number of taps is read from the shape of ``cols``."""
+    """The adjoint of _im2col; the number of taps is read from the shape of ``cols``.
+
+    Each of the stride * stride output phases, the positions (py + stride * i, px + stride * j), sums
+    the taps that reach it in raster order into a zeroed buffer, which one strided write stores. So
+    every output takes the additions of a scatter into zeroed padded scratch in the same order.
+    """
     n, c, h, w = x_shape
     taps = cols.shape[1] // c
     if taps == 1 and stride == 1:
         return cols.reshape(x_shape)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols5 = cols.reshape(n, c, taps, oh, ow)
-    for t in range(taps):
-        u, v = divmod(t, k)
-        xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
-    return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])  # no copy at pad 0
+    out = np.empty(x_shape, dtype=cols.dtype)
+    for py in range(stride):
+        for px in range(stride):
+            acc = np.zeros((n, c, len(range(py, h, stride)), len(range(px, w, stride))), dtype=cols.dtype)
+            for t in range(taps):
+                u, v = divmod(t, k)
+                # phase row i is padded row py + pad + stride * i, which tap row u reaches from window row i + du
+                du, off_u = divmod(py + pad - u, stride)
+                dv, off_v = divmod(px + pad - v, stride)
+                i0, i1 = max(0, -du), min(acc.shape[2], oh - du)
+                j0, j1 = max(0, -dv), min(acc.shape[3], ow - dv)
+                if off_u == off_v == 0 and i0 < i1 and j0 < j1:
+                    acc[:, :, i0:i1, j0:j1] += cols5[:, :, t, i0 + du : i1 + du, j0 + dv : j1 + dv]
+            if stride == 1:  # one phase, the whole output
+                return acc
+            out[:, :, py::stride, px::stride] = acc
+    return out
 
 
 def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opname: str) -> int:
@@ -432,20 +455,27 @@ def _kernel_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, k: int, stride: int):
-    cols, oh, ow = _im2col(x.data, k, stride, k // 2, k2.shape[1] // x.shape[1])
+    """The output, and the columns when they are a view of x (a 1x1 kernel at stride 1), else None."""
+    taps = k2.shape[1] // x.shape[1]
+    cols, oh, ow = _im2col(x.data, k, stride, k // 2, taps)
     out = np.matmul(k2, cols)  # [n, o, oh*ow]
     out += bias.data.reshape(1, -1, 1)
-    return out.reshape(x.shape[0], -1, oh, ow), cols
+    return out.reshape(x.shape[0], -1, oh, ow), cols if taps == 1 and stride == 1 else None
 
 
 def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, k, stride) -> None:
+    """``cols`` is what _corr_forward kept; None regathers the same columns from x for the kernel gradient."""
     g2 = g.reshape(g.shape[0], g.shape[1], -1)
     if bias.requires_grad:
         bias.accumulate_grad(g2.sum(axis=(0, 2)))
     if kernel.requires_grad:
         o, c = kernel.shape[:2]
+        taps = k2.shape[1] // c
+        if cols is None:
+            cols = _im2col(x.data, k, stride, k // 2, taps)[0]
         dk = np.zeros(kernel.shape, dtype=g.dtype)  # 0.0 on the taps k2 leaves out
-        dk.reshape(o, c, k * k)[:, :, : k2.shape[1] // c] = _kernel_grad(g2, cols).reshape(o, c, -1)
+        dk.reshape(o, c, k * k)[:, :, :taps] = _kernel_grad(g2, cols).reshape(o, c, -1)
+        del cols  # regathered columns go before the input gradient is formed
         kernel.accumulate_grad(dk)
     if x.requires_grad:
         x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, k, stride, k // 2, *g.shape[2:]))

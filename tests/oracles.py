@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (nested loops, brute-force sums,
 high-precision special functions) and shares no code with the package
-under test.
+under test, except ``op_chain_mixture_prob``: it composes the engine's
+elementary ops, each checked on its own against finite differences, into
+the likelihood that ``lhgm.distributions.mixture_prob`` computes as one op.
 """
 
 import math
@@ -64,6 +66,52 @@ def naive_conv2d_transposed(x, k, b, stride, pad):
     if b is not None:
         out += b.reshape(1, co, 1, 1)
     return out
+
+
+def scatter_col2im(cols, x_shape, k, stride, pad, oh, ow):
+    """The adjoint of im2col as a scatter: tap t of every window, in raster order, adds into a zeroed padded
+    array at its strided positions, which is then cropped. ``cols`` is [n, c * taps, oh * ow]; 1x1 at stride 1
+    is a reshape."""
+    n, c, h, w = x_shape
+    taps = cols.shape[1] // c
+    if taps == 1 and stride == 1:
+        return cols.reshape(x_shape)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols5 = cols.reshape(n, c, taps, oh, ow)
+    for t in range(taps):
+        u, v = divmod(t, k)
+        xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
+    return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
+
+
+def op_chain_mixture_prob(weights, means, scales, values, lo=None, hi=None):
+    """Discretized mixture probability [N, C, H, W] composed of engine ops, one tape record per op.
+
+    ``weights``, ``means`` and ``scales`` are [N, K, C, H, W] Tensors and
+    ``values`` an [N, C, H, W] Tensor. Each edge e has t = (e - mu) / sigma,
+    c = -1 above the mean and +1 elsewhere (0 on an edge folded at lo or
+    hi), and signed tail g = Phi(t * c) * c; a bin is g(upper) - g(lower),
+    plus 1 where c(lower) >= 0 and c(upper) <= 0, and the result is the
+    weighted sum over K. Gradients come from the ops' own closures.
+    """
+    import lhgm.tensor as T
+    from lhgm.tensor import Tensor
+
+    n, k, c, h, w = weights.shape
+    v = T.broadcast_to(T.reshape(values, (n, 1, c, h, w)), (n, k, c, h, w))
+    per_element = values.data.reshape(n, 1, c, h, w)
+
+    def signed_tail(edge, folded_at):
+        t = (edge - means) / scales
+        sign = np.where(t.data > 0.0, -1.0, 1.0).astype(t.data.dtype)
+        if folded_at is not None:
+            sign[np.broadcast_to(per_element == folded_at, sign.shape)] = 0.0
+        return T.std_normal_cdf(t * Tensor(sign)) * Tensor(sign), sign
+
+    g_upper, c_upper = signed_tail(v + 0.5, hi)
+    g_lower, c_lower = signed_tail(v - 0.5, lo)
+    straddle = Tensor(((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype))
+    return T.reduce_sum(weights * (g_upper - g_lower + straddle), axis=1)
 
 
 def central_difference_grad(f, x, h=1e-5):

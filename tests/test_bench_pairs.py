@@ -52,6 +52,27 @@ def test_summary_counts_lower_pairs_ties_and_failures():
                                "no_result_parent": 0, "no_result_change": 0}
 
 
+def test_mixed_modes_names_a_metric_whose_runs_jump_on_either_side():
+    # codec_ctx at seed 1: a 6.5-MB jump between runs of one tree, against 0.25 * 0.1 * 153 = 3.8 MB
+    jump = [152.4, 152.6, 152.9, 158.97, 159.07, 152.5]
+    tight = [153.5, 153.6, 153.7, 153.55, 153.65, 153.6]
+    for parent, change in [(jump, tight), (tight, jump)]:
+        runs = [run("codec_ctx", p, side, peak_rss_mb=value, op_s=2.5)
+                for p, (a, b) in enumerate(zip(parent, change)) for side, value in (("parent", a), ("change", b))]
+        summary = bench_pairs.summarize(runs, [lower("op_s", 0.25), lower("peak_rss_mb", 0.1)])
+        assert summary["codec_ctx/seed0"]["mixed_modes"] == ["peak_rss_mb"]
+
+
+def test_mixed_modes_empty_for_tight_runs():
+    # train at seed 0: runs within 1 MB of each other, against 0.25 * 0.1 * 108 = 2.7 MB
+    parent, change = [107.6, 107.8, 108.0, 107.7], [93.3, 94.2, 93.8, 93.5]
+    runs = [run("train", p, side, peak_rss_mb=value)
+            for p, (a, b) in enumerate(zip(parent, change)) for side, value in (("parent", a), ("change", b))]
+    summary = bench_pairs.summarize(runs, [lower("peak_rss_mb", 0.1)])
+    assert summary["train/seed0"]["mixed_modes"] == []
+    assert bench_pairs.two_modes([(108.0, 94.0), (110.8, 94.0)], 0.1)  # a 2.8-MB gap on the parent's side
+
+
 def crashing_tree(tree, code):
     """A tree whose benchmark prints its environment line and exits with ``code`` before any result."""
     return write_tree(tree, {"perfbench/run.py": f'print("env {{}}")\nraise SystemExit({code})\n'.encode()})

@@ -12,7 +12,7 @@ import lhgm.tensor as T
 from lhgm.distributions import Alphabet, FactorizedPrior, MixtureParams
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import blend_folded_prob, gaussian_bin_prob, one_shot_mixture_pmf, phi, rel_err
+from oracles import blend_folded_prob, gaussian_bin_prob, one_shot_mixture_pmf, op_chain_mixture_prob, phi, rel_err
 
 RNG = np.random.default_rng(7)
 
@@ -428,6 +428,36 @@ class TestRateBits:
 
 
 class TestGradients:
+    @pytest.mark.parametrize("alphabet", [Alphabet(-3, 3), None])
+    def test_mixture_prob_is_one_op_with_the_op_chains_gradients(self, alphabet):
+        rng = np.random.default_rng(41)
+        shape = (2, 3, 2, 4, 5)
+        logits = rng.normal(size=shape)
+        arrays = [np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True), rng.normal(size=shape) * 2,
+                  np.exp(rng.normal(size=shape))]
+        values = rng.integers(-3, 4, size=(2, 2, 4, 5)).astype(np.float64)  # every symbol, the folded edges too
+        arrays.append(values if alphabet else values + rng.uniform(-0.5, 0.5, size=values.shape))
+        upstream = Tensor(rng.normal(size=values.shape))
+        grads = {}
+        for name, prob in [("op", D.mixture_prob), ("chain", None)]:
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            leaves[3].requires_grad = alphabet is None
+            with GradTape() as tape:
+                if prob is None:
+                    bounds = (alphabet.lo, alphabet.hi) if alphabet else (None, None)
+                    p = op_chain_mixture_prob(*leaves, *bounds)
+                else:
+                    p = prob(MixtureParams(*leaves[:3]), leaves[3], alphabet)
+                    assert len(tape._records) == 1
+                T.backward(T.reduce_sum(p * upstream))
+            grads[name] = (p.data, [t.grad for t in leaves])
+        (p_op, op), (p_chain, chain) = grads["op"], grads["chain"]
+        assert p_op.tobytes() == p_chain.tobytes()
+        assert (op[3] is None) == (alphabet is not None)
+        for got, want in zip(op, chain):
+            if want is not None:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_mixture_prob_gradients(self):
         self.check_mixture_prob_gradients(WIDE, RNG)
 

@@ -11,7 +11,15 @@ import pytest
 import lhgm.tensor as T
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import central_difference_grad, mask_a, naive_conv2d, naive_conv2d_transposed, phi, rel_err
+from oracles import (
+    central_difference_grad,
+    mask_a,
+    naive_conv2d,
+    naive_conv2d_transposed,
+    phi,
+    rel_err,
+    scatter_col2im,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -199,6 +207,15 @@ class TestElementwise:
     def test_leaky_relu_negative(self):
         out = T.leaky_relu(Tensor(np.array(-2.0)), slope=0.01)
         assert out.item() == pytest.approx(-0.02, abs=1e-15)
+
+    @pytest.mark.parametrize("slope", [0.01, 1.5, -0.5])
+    def test_leaky_relu_takes_any_finite_slope(self, slope):
+        x = Tensor(np.array([-2.0, -0.0, 0.0, 3.0]), requires_grad=True)
+        with GradTape():
+            out = T.leaky_relu(x, slope)
+            T.backward(T.reduce_sum(out * Tensor(np.array([1.0, 2.0, 3.0, 4.0]))))
+        assert out.data.tolist() == [-2.0 * slope, -0.0 * slope, 0.0 * slope, 3.0]
+        assert x.grad.tolist() == [slope, 2.0 * slope, 3.0 * slope, 4.0]
 
     def test_reduce_sum_ones(self):
         assert T.reduce_sum(Tensor(np.ones((2, 3)))).item() == 6.0
@@ -403,6 +420,21 @@ class TestBackward:
         assert x.grad is not None
         assert peak - held <= 4 * mib, f"backward peaked {(peak - held) / mib:.1f} MiB above the forward"
 
+    @pytest.mark.parametrize("op", ["conv2d", "masked_conv2d"])
+    def test_a_convolution_keeps_its_input_not_its_columns(self, op):
+        # a 3x3 kernel's columns are nine times its input; backward gathers them again from the input
+        x = Tensor(RNG.normal(size=(2, 8, 32, 32)), requires_grad=True)
+        k, b = Tensor(RNG.normal(size=(8, 8, 3, 3)), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with GradTape():
+                base = tracemalloc.get_traced_memory()[0]
+                out = getattr(T, op)(x, k, b)
+                held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * out.data.nbytes, f"{op} held {held / out.data.nbytes:.1f}x its output"
+
     def test_reuse_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         with GradTape():
@@ -593,6 +625,29 @@ class TestConvCoreExact:
         for xx, kk, bb in bad_calls:
             with pytest.raises(ValueError, match=rf"^{op.__name__}: "):
                 op(xx, kk, bb)
+
+
+# (k, taps, pad): the geometries _col2im serves, a same-padded odd kernel, the x2 upsampler's even one and
+# mask A's 5x5 causal taps, plus an unpadded 3x3
+COL2IM_KERNELS = [(1, 1, 0), (3, 9, 1), (3, 9, 0), (4, 16, 1), (5, 12, 2)]
+
+
+class TestCol2im:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("k,taps,pad", COL2IM_KERNELS)
+    def test_phase_sums_equal_the_scatter_bit_for_bit(self, k, taps, pad, stride, dtype):
+        rng = np.random.default_rng(k * 100 + stride)
+        for h, w in [(1, 2), (5, 4), (7, 9), (8, 8)]:
+            oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+            if oh < 1 or ow < 1:
+                continue
+            cols = rng.normal(size=(2, 3 * taps, oh * ow)).astype(dtype)
+            cols[rng.random(cols.shape) < 0.3] = -0.0  # a sum of -0.0 alone keeps its sign
+            got = T._col2im(cols, (2, 3, h, w), k, stride, pad, oh, ow)
+            want = scatter_col2im(cols, (2, 3, h, w), k, stride, pad, oh, ow)
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (h, w)
 
 
 class TestDeterminism:

@@ -14,8 +14,9 @@ pair to pair, so drift of the host falls on both sides alike. The
 output keeps every run with its exit code and, per workload and metric,
 the quartiles of each side, the number of pairs in which the change is
 lower, the ties, the failed operations and the runs that printed no
-result, and a verdict (see ``verdict``) against the metric's bound in
-``BENCHMARK.json``. ``--claim WORKLOAD/METRIC`` names the
+result, a verdict (see ``verdict``) against the metric's bound in
+``BENCHMARK.json``, and the metrics whose runs fall into two modes
+(``mixed_modes``, see ``two_modes``). ``--claim WORKLOAD/METRIC`` names the
 gain the change claims; both names must be in ``BENCHMARK.json``, and
 ``claim_met`` (see ``claim_met``) says whether the runs show it. The
 output also records ``src_lines`` of each side (see ``src_lines``),
@@ -85,6 +86,14 @@ def claim_met(both: list[tuple[float, float]], better: str) -> bool:
     return 10 * wins >= 9 * len(both) and -_worse_by(median, quartiles([b for _, b in both])[1], better) > q3 - q1
 
 
+def two_modes(both: list[tuple[float, float]], bound: float) -> bool:
+    """Whether either side's sorted runs of one metric have two neighbours further apart than a quarter of
+    ``bound`` times the parent median: runs of one tree that fall into two modes, so that a verdict may
+    rest on pairs from different modes."""
+    gap = 0.25 * bound * abs(quartiles([a for a, _ in both])[1])
+    return any(hi - lo > gap for side in zip(*both) for lo, hi in zip(sorted(side), sorted(side)[1:]))
+
+
 def _key(run: dict) -> str:
     return f"{run['workload']}/seed{run['seed']}"
 
@@ -103,16 +112,21 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     bound). A metric enters a pair only when both of its runs produced it,
     so a run that printed no result drops out of every metric; ``failed``
     counts such runs per side, next to the failed operations.
+    ``mixed_modes`` names the metrics whose runs fall into two modes on
+    either side (see ``two_modes``).
     """
     summary: dict[str, dict] = {}
     for key in dict.fromkeys(_key(r) for r in runs):
         mine = [r for r in runs if _key(r) == key]
         sides = {side: {r["pair"]: r for r in mine if r["side"] == side} for side in ("parent", "change")}
         entry: dict[str, object] = {"pairs": len(set(sides["parent"]) & set(sides["change"]))}
+        mixed = []
         for metric in end_to_end:
             both = metric_pairs(mine, key, metric["name"])
             if not both:
                 continue
+            if two_modes(both, metric["bound"]):
+                mixed.append(metric["name"])
             entry[metric["name"]] = {
                 "parent_q1_median_q3": quartiles([a for a, _ in both]),
                 "change_q1_median_q3": quartiles([b for _, b in both]),
@@ -120,6 +134,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "ties": sum(b == a for a, b in both),
                 "verdict": verdict(both, metric["better"], metric["bound"]),
             }
+        entry["mixed_modes"] = mixed
         entry["failed"] = {
             "parent": sum(r["failed"] for r in sides["parent"].values()),
             "change": sum(r["failed"] for r in sides["change"].values()),
