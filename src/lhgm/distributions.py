@@ -125,7 +125,9 @@ def _signed_tail(edge: np.ndarray, params: MixtureParams, folded: np.ndarray | N
 
     c is +1 at or below the mean and -1 above it, so c * t = -|t|; it is 0
     on folded edges, whose tail is the constant 0. Phi runs as the engine's
-    ``std_normal_cdf`` on a constant, which records nothing.
+    ``std_normal_cdf`` on a constant, which records nothing and gives the
+    bits of ``ndtr``; the detour exists only so that the trace's
+    ``tensor.fwd.std_normal_cdf`` span still times Phi in training.
     """
     t = (edge - params.means.data) / params.scales.data
     scalar = t.dtype.type

@@ -396,34 +396,17 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, taps: int):
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """The adjoint of _im2col; the number of taps is read from the shape of ``cols``.
-
-    Each of the stride * stride output phases, the positions (py + stride * i, px + stride * j), sums
-    the taps that reach it in raster order into a zeroed buffer, which one strided write stores. So
-    every output takes the additions of a scatter into zeroed padded scratch in the same order.
-    """
+    """The adjoint of _im2col; the number of taps is read from the shape of ``cols``."""
     n, c, h, w = x_shape
     taps = cols.shape[1] // c
     if taps == 1 and stride == 1:
         return cols.reshape(x_shape)
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols5 = cols.reshape(n, c, taps, oh, ow)
-    out = np.empty(x_shape, dtype=cols.dtype)
-    for py in range(stride):
-        for px in range(stride):
-            acc = np.zeros((n, c, len(range(py, h, stride)), len(range(px, w, stride))), dtype=cols.dtype)
-            for t in range(taps):
-                u, v = divmod(t, k)
-                # phase row i is padded row py + pad + stride * i, which tap row u reaches from window row i + du
-                du, off_u = divmod(py + pad - u, stride)
-                dv, off_v = divmod(px + pad - v, stride)
-                i0, i1 = max(0, -du), min(acc.shape[2], oh - du)
-                j0, j1 = max(0, -dv), min(acc.shape[3], ow - dv)
-                if off_u == off_v == 0 and i0 < i1 and j0 < j1:
-                    acc[:, :, i0:i1, j0:j1] += cols5[:, :, t, i0 + du : i1 + du, j0 + dv : j1 + dv]
-            if stride == 1:  # one phase, the whole output
-                return acc
-            out[:, :, py::stride, px::stride] = acc
-    return out
+    for t in range(taps):
+        u, v = divmod(t, k)
+        xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
+    return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])  # no copy at pad 0
 
 
 def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opname: str) -> int:
@@ -454,28 +437,25 @@ def _kernel_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, k: int, stride: int):
-    """The output, and the columns when they are a view of x (a 1x1 kernel at stride 1), else None."""
-    taps = k2.shape[1] // x.shape[1]
-    cols, oh, ow = _im2col(x.data, k, stride, k // 2, taps)
+def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, k: int, stride: int) -> np.ndarray:
+    cols, oh, ow = _im2col(x.data, k, stride, k // 2, k2.shape[1] // x.shape[1])
     out = np.matmul(k2, cols)  # [n, o, oh*ow]
     out += bias.data.reshape(1, -1, 1)
-    return out.reshape(x.shape[0], -1, oh, ow), cols if taps == 1 and stride == 1 else None
+    return out.reshape(x.shape[0], -1, oh, ow)
 
 
-def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, cols, k, stride) -> None:
-    """``cols`` is what _corr_forward kept; None regathers the same columns from x for the kernel gradient."""
+def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, k, stride) -> None:
+    """Gathers the forward's columns again from x for the kernel gradient, rather than keeping them."""
     g2 = g.reshape(g.shape[0], g.shape[1], -1)
     if bias.requires_grad:
         bias.accumulate_grad(g2.sum(axis=(0, 2)))
     if kernel.requires_grad:
         o, c = kernel.shape[:2]
         taps = k2.shape[1] // c
-        if cols is None:
-            cols = _im2col(x.data, k, stride, k // 2, taps)[0]
+        cols = _im2col(x.data, k, stride, k // 2, taps)[0]
         dk = np.zeros(kernel.shape, dtype=g.dtype)  # 0.0 on the taps k2 leaves out
         dk.reshape(o, c, k * k)[:, :, :taps] = _kernel_grad(g2, cols).reshape(o, c, -1)
-        del cols  # regathered columns go before the input gradient is formed
+        del cols  # the columns go before the input gradient is formed
         kernel.accumulate_grad(dk)
     if x.requires_grad:
         x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, k, stride, k // 2, *g.shape[2:]))
@@ -487,10 +467,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
     k2 = kernel.data.reshape(kernel.shape[0], kernel.shape[1] * k * k)
-    data, cols = _corr_forward(x, k2, bias, k, stride)
+    data = _corr_forward(x, k2, bias, k, stride)
 
     def bwd(g):
-        _corr_backward(g, x, kernel, bias, k2, cols, k, stride)
+        _corr_backward(g, x, kernel, bias, k2, k, stride)
 
     return _make_out(data, (x, kernel, bias), bwd)
 
@@ -532,9 +512,9 @@ def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     k = _check_conv_args(x, kernel, bias, 1, "masked_conv2d")
     o, c = kernel.shape[:2]
     k2 = kernel.data.reshape(o, c, k * k)[:, :, : k * k // 2].reshape(o, -1)
-    data, cols = _corr_forward(x, k2, bias, k, 1)
+    data = _corr_forward(x, k2, bias, k, 1)
 
     def bwd(g):
-        _corr_backward(g, x, kernel, bias, k2, cols, k, 1)
+        _corr_backward(g, x, kernel, bias, k2, k, 1)
 
     return _make_out(data, (x, kernel, bias), bwd)

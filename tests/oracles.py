@@ -68,22 +68,6 @@ def naive_conv2d_transposed(x, k, b, stride, pad):
     return out
 
 
-def scatter_col2im(cols, x_shape, k, stride, pad, oh, ow):
-    """The adjoint of im2col as a scatter: tap t of every window, in raster order, adds into a zeroed padded
-    array at its strided positions, which is then cropped. ``cols`` is [n, c * taps, oh * ow]; 1x1 at stride 1
-    is a reshape."""
-    n, c, h, w = x_shape
-    taps = cols.shape[1] // c
-    if taps == 1 and stride == 1:
-        return cols.reshape(x_shape)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols5 = cols.reshape(n, c, taps, oh, ow)
-    for t in range(taps):
-        u, v = divmod(t, k)
-        xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
-    return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
-
-
 def op_chain_mixture_prob(weights, means, scales, values, lo=None, hi=None):
     """Discretized mixture probability [N, C, H, W] composed of engine ops, one tape record per op.
 

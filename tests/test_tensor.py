@@ -11,15 +11,7 @@ import pytest
 import lhgm.tensor as T
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import (
-    central_difference_grad,
-    mask_a,
-    naive_conv2d,
-    naive_conv2d_transposed,
-    phi,
-    rel_err,
-    scatter_col2im,
-)
+from oracles import central_difference_grad, mask_a, naive_conv2d, naive_conv2d_transposed, phi, rel_err
 
 RNG = np.random.default_rng(20240811)
 
@@ -625,29 +617,6 @@ class TestConvCoreExact:
         for xx, kk, bb in bad_calls:
             with pytest.raises(ValueError, match=rf"^{op.__name__}: "):
                 op(xx, kk, bb)
-
-
-# (k, taps, pad): the geometries _col2im serves, a same-padded odd kernel, the x2 upsampler's even one and
-# mask A's 5x5 causal taps, plus an unpadded 3x3
-COL2IM_KERNELS = [(1, 1, 0), (3, 9, 1), (3, 9, 0), (4, 16, 1), (5, 12, 2)]
-
-
-class TestCol2im:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("k,taps,pad", COL2IM_KERNELS)
-    def test_phase_sums_equal_the_scatter_bit_for_bit(self, k, taps, pad, stride, dtype):
-        rng = np.random.default_rng(k * 100 + stride)
-        for h, w in [(1, 2), (5, 4), (7, 9), (8, 8)]:
-            oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-            if oh < 1 or ow < 1:
-                continue
-            cols = rng.normal(size=(2, 3 * taps, oh * ow)).astype(dtype)
-            cols[rng.random(cols.shape) < 0.3] = -0.0  # a sum of -0.0 alone keeps its sign
-            got = T._col2im(cols, (2, 3, h, w), k, stride, pad, oh, ow)
-            want = scatter_col2im(cols, (2, 3, h, w), k, stride, pad, oh, ow)
-            assert got.dtype == dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (h, w)
 
 
 class TestDeterminism:
