@@ -162,7 +162,8 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
     edges) and G the upstream gradient: dw = G * per,
     dmu = G * w * (f(l) - f(u)) / sigma, dsigma = G * w * (f(l) * t(l) -
     f(u) * t(u)) / sigma, and dv = sum over k of G * w * (f(u) - f(l)) / sigma.
-    Backward keeps per and the two edges' t.
+    Backward keeps per, the two edges' t, the folds, w and sigma, and the
+    gradient slots of the inputs that need one (see ``lhgm.tensor``).
     """
     weights, means, scales = params.weights, params.means, params.scales
     n, _, c, h, w = weights.shape
@@ -176,21 +177,23 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
     t_lower, g_lower, c_lower = _signed_tail(per_element - half, params, lo_fold)
     per = g_upper - g_lower + ((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype)
     del g_upper, g_lower, c_upper, c_lower  # before the weighted sum: backward keeps only per and the two t
+    w_data, sigma = weights.data, scales.data
+    slot_w, slot_mu, slot_sigma, slot_v = map(T._slot_if_needed, (weights, means, scales, values))
 
     def bwd(g):
         g = g.reshape(n, 1, c, h, w)
-        if weights.requires_grad:
-            weights.accumulate_grad(g * per)
+        if slot_w:
+            slot_w.add(g * per)
         f_upper, f_lower = _edge_density(t_upper, hi_fold), _edge_density(t_lower, lo_fold)
-        g_over_sigma = g * weights.data / scales.data
-        if means.requires_grad:
-            means.accumulate_grad(g_over_sigma * (f_lower - f_upper))
-        if scales.requires_grad:
-            scales.accumulate_grad(g_over_sigma * (f_lower * t_lower - f_upper * t_upper))
-        if values.requires_grad:
-            values.accumulate_grad((g_over_sigma * (f_upper - f_lower)).sum(axis=1))
+        g_over_sigma = g * w_data / sigma
+        if slot_mu:
+            slot_mu.add(g_over_sigma * (f_lower - f_upper))
+        if slot_sigma:
+            slot_sigma.add(g_over_sigma * (f_lower * t_lower - f_upper * t_upper))
+        if slot_v:
+            slot_v.add((g_over_sigma * (f_upper - f_lower)).sum(axis=1))
 
-    return T._make_out((weights.data * per).sum(axis=1), (weights, means, scales, values), bwd)
+    return T._make_out((w_data * per).sum(axis=1), (weights, means, scales, values), bwd)
 
 
 def mixture_mean(params: MixtureParams) -> Tensor:

@@ -28,16 +28,28 @@ Gradients are recorded on an explicit :class:`GradTape`, of which at most
 one is active: entering a second raises. Replaying the tape in reverse
 execution order is a valid topological order by construction.
 
-Memory contract of training: a record (an op's output, its backward
-closure and the arrays the closure saved) lives from its op until
-backward has run its closure, and is then dropped; the output and its
-gradient survive only if the caller still holds the output. A step's
-peak is therefore the forward's saved set plus the gradients in flight,
-not the whole tape plus every gradient. Ops save little: ``conv2d`` and
-``masked_conv2d`` keep their input, not its im2col columns (k * k times
-the input for a k x k kernel), and gather the same columns again in
-backward for the kernel gradient, so every gradient is unchanged bit for
-bit; ``leaky_relu`` keeps a boolean mask. Ops run without a tape record
+Memory contract of training: backward keeps only what it reads. A
+tensor's gradient lives in a small slot of its own, which ``Tensor.grad``
+reads and backward closures add into, and a tape record is an op's output
+slot and its backward closure, not the output itself. Each closure holds
+the slots it adds into and only the arrays its own formula reads: the
+convolutions and the upsampler their input (and kernel), ``leaky_relu``
+and ``clamp`` a boolean mask, ``mul`` and ``div`` the operands their
+gradients read, ``softplus``, ``log`` and ``std_normal_cdf`` their input,
+``softmax``, ``tanh`` and ``sigmoid`` their output, and ``add``, ``sub``,
+``reduce_sum`` and the shape ops shapes only. So an activation that no
+backward reads, such as a convolution's output that feeds ``leaky_relu``
+or a residual ``add``, is freed as soon as its caller drops it, during the
+forward. A record lives until backward has run its closure, and the
+gradient in its slot survives only if the caller still holds the output.
+A step's peak is therefore the arrays backward reads plus the gradients
+in flight. The convolutions form their im2col columns (k * k times the
+input for a k x k kernel) a chunk of samples at a time, at most about
+``_COLS_BLOCK_BYTES`` per chunk unless one sample needs more, in forward
+and again in backward for the kernel gradient, and so does the upsampler
+with the columns of its output gradient. The kernel gradient adds each
+sample's product in sample order, so every output and gradient equals the
+whole-batch computation bit for bit. Ops run without a tape record
 nothing.
 """
 
@@ -48,16 +60,51 @@ from scipy.special import ndtr
 
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))  # a Python float keeps float32 float32
 
+class _GradSlot:
+    """One tensor's gradient, apart from its data: what the tape and the backward closures hold of a tensor."""
+
+    __slots__ = ("grad", "dtype")
+
+    def __init__(self, dtype):
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+
+    def add(self, g: np.ndarray) -> None:
+        """Add ``g``; the first ``g`` is stored as a C-order copy in the slot's dtype.
+
+        Backward closures may therefore pass views of their output's
+        gradient or read-only broadcasts: no two tensors share a buffer.
+        """
+        if self.grad is None:
+            self.grad = np.array(g, dtype=self.dtype, order="C")
+        else:
+            self.grad += g
+
+    def add_at(self, idx, g: np.ndarray, shape) -> None:
+        """Add ``g`` into the part ``idx`` of a gradient of ``shape``, which starts as zeros."""
+        if self.grad is None:
+            self.grad = np.zeros(shape, dtype=self.dtype)
+        self.grad[idx] += g
+
+
 class Tensor:
     """N-dimensional array, optionally tracked for gradients: float32 data stays float32, any other becomes float64."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self._slot = _GradSlot(self.data.dtype)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._slot.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,17 +122,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` to the gradient; the first ``g`` is stored as a C-order copy in this tensor's dtype.
-
-        Backward closures may therefore pass views of their output's
-        gradient or read-only broadcasts: no two tensors share a buffer.
-        """
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, order="C")
-        else:
-            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -113,7 +149,7 @@ class GradTape:
 
     Used as a context manager, one at a time: entering a tape while another
     is active raises RuntimeError. Ops executed while the tape is active
-    append (output, closure) records when any input requires a gradient.
+    append (output's gradient slot, closure) records when any input requires a gradient.
     :func:`backward` pops the records newest first and runs each closure,
     so a record is freed as soon as its closure has run. It drops the
     records that are left when a closure raises, and leaving the context
@@ -121,7 +157,7 @@ class GradTape:
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
+        self._records: list[tuple[_GradSlot, object]] = []
 
     def __enter__(self) -> "GradTape":
         global _ACTIVE
@@ -136,7 +172,7 @@ class GradTape:
         _ACTIVE = None
 
     def record(self, out: Tensor, backward_fn) -> None:
-        self._records.append((out, backward_fn))
+        self._records.append((out._slot, backward_fn))
 
 
 _ACTIVE: GradTape | None = None
@@ -152,9 +188,9 @@ def backward(loss: Tensor) -> None:
     records = _ACTIVE._records
     try:
         while records:
-            out, fn = records.pop()
-            if out.grad is not None:
-                fn(out.grad)
+            slot, fn = records.pop()
+            if slot.grad is not None:
+                fn(slot.grad)
     finally:
         records.clear()
 
@@ -169,14 +205,22 @@ def _make_out(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
     return out
 
 
+def _slot_if_needed(t: Tensor) -> _GradSlot | None:
+    return t._slot if t.requires_grad else None
+
+
 # ---------------------------------------------------------------------------
 # Elementwise suite
 # ---------------------------------------------------------------------------
 
 
-def _binary(a, b, opname: str, data_fn, grad_a, grad_b) -> Tensor:
+def _binary(a, b, opname: str, data_fn, grad_a, grad_b, reads: tuple[str, str]) -> Tensor:
     """add, sub, mul and div: ``data_fn(x, y)`` of the operands' arrays, and ``grad_a(g, x, y)`` or
-    ``grad_b(g, x, y)`` for each operand that needs a gradient; the constant and shape rules are the module's."""
+    ``grad_b(g, x, y)`` for each operand that needs a gradient; the constant and shape rules are the module's.
+
+    ``reads`` names the operands, "x" and "y", that ``grad_a`` and ``grad_b`` read; backward keeps an
+    operand only if the gradient of an operand that needs one reads it, and passes None for the others.
+    """
     if not isinstance(a, Tensor):
         a = Tensor(np.asarray(a, dtype=b.data.dtype))
     if not isinstance(b, Tensor):
@@ -184,26 +228,30 @@ def _binary(a, b, opname: str, data_fn, grad_a, grad_b) -> Tensor:
     scalar = a if a.ndim == 0 else b if b.ndim == 0 else None
     if a.shape != b.shape and (scalar is None or scalar.requires_grad):
         raise ValueError(f"{opname}: shape mismatch {a.shape} vs {b.shape} (a 0-d operand must be a constant)")
+    slot_a, slot_b = _slot_if_needed(a), _slot_if_needed(b)
+    read = (reads[0] if slot_a else "") + (reads[1] if slot_b else "")
+    x = a.data if "x" in read else None
+    y = b.data if "y" in read else None
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(grad_a(g, a.data, b.data))
-        if b.requires_grad:
-            b.accumulate_grad(grad_b(g, a.data, b.data))
+        if slot_a:
+            slot_a.add(grad_a(g, x, y))
+        if slot_b:
+            slot_b.add(grad_b(g, x, y))
 
     return _make_out(data_fn(a.data, b.data), (a, b), bwd)
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, "add", np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, "add", np.add, lambda g, x, y: g, lambda g, x, y: g, ("", ""))
 
 
 def sub(a, b) -> Tensor:
-    return _binary(a, b, "sub", np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary(a, b, "sub", np.subtract, lambda g, x, y: g, lambda g, x, y: -g, ("", ""))
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, "mul", np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, "mul", np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, ("y", "x"))
 
 
 # a division by zero, or a log of 0 or less, gives inf or nan without a warning; _DIV is div's three functions
@@ -212,50 +260,55 @@ _DIV = (_quiet(np.divide), _quiet(lambda g, x, y: g / y), _quiet(lambda g, x, y:
 
 
 def div(a, b) -> Tensor:
-    return _binary(a, b, "div", *_DIV)
+    return _binary(a, b, "div", *_DIV, ("y", "xy"))
 
 
 def log(x: Tensor) -> Tensor:
-    return _make_out(_quiet(np.log)(x.data), (x,), _quiet(lambda g: x.accumulate_grad(g / x.data)))
+    slot, xd = x._slot, x.data
+    return _make_out(_quiet(np.log)(xd), (x,), _quiet(lambda g: slot.add(g / xd)))
 
 
 def clamp(x: Tensor, lo: float) -> Tensor:
     """max(x, lo); the gradient passes where x >= lo."""
+    slot = x._slot
     data = np.maximum(x.data, lo)
     inside = x.data >= lo
 
     def bwd(g):
-        x.accumulate_grad(g * inside)
+        slot.add(g * inside)
 
     return _make_out(data, (x,), bwd)
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
     """x where x > 0, else slope * x, for any finite slope; backward keeps the boolean mask of x > 0."""
+    slot = x._slot
     slope = x.data.dtype.type(slope)
     positive = x.data > 0.0
 
     def bwd(g):
-        x.accumulate_grad(np.where(positive, g, g * slope))
+        slot.add(np.where(positive, g, g * slope))
 
     return _make_out(np.where(positive, x.data, x.data * slope), (x,), bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
+    slot, xd = x._slot, x.data
     # log(1 + e^x) = max(x, 0) + log1p(e^-|x|); exp never sees a positive argument
-    data = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
+    data = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
 
     def bwd(g):
-        x.accumulate_grad(g * _sigmoid_np(x.data))
+        slot.add(g * _sigmoid_np(xd))
 
     return _make_out(data, (x,), bwd)
 
 
 def tanh(x: Tensor) -> Tensor:
+    slot = x._slot
     data = np.tanh(x.data)
 
     def bwd(g):
-        x.accumulate_grad(g * (1.0 - data * data))
+        slot.add(g * (1.0 - data * data))
 
     return _make_out(data, (x,), bwd)
 
@@ -265,31 +318,34 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    slot = x._slot
     data = _sigmoid_np(x.data)
 
     def bwd(g):
-        x.accumulate_grad(g * data * (1.0 - data))
+        slot.add(g * data * (1.0 - data))
 
     return _make_out(data, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
+    slot = x._slot
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        x.accumulate_grad(data * (g - inner))
+        slot.add(data * (g - inner))
 
     return _make_out(data, (x,), bwd)
 
 
 def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
+    slot, shape = x._slot, x.shape
     data = x.data.sum(axis=axis)
 
     def bwd(g):
-        x.accumulate_grad(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), x.shape))
+        slot.add(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape))
 
     return _make_out(data, (x,), bwd)
 
@@ -297,10 +353,11 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
 def std_normal_cdf(x: Tensor) -> Tensor:
     """Standard normal CDF, elementwise: absolute error well under 1e-12 on float64 input,
     float32 precision (about 1e-7) on float32 input."""
-    data = ndtr(x.data)
+    slot, xd = x._slot, x.data
+    data = ndtr(xd)
 
     def bwd(g):
-        x.accumulate_grad(g * _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data))
+        slot.add(g * _INV_SQRT_2PI * np.exp(-0.5 * xd * xd))
 
     return _make_out(data, (x,), bwd)
 
@@ -311,65 +368,67 @@ def std_normal_cdf(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    data = x.data.reshape(shape)
+    slot, in_shape = x._slot, x.shape
+    data = x.data.reshape(tuple(shape))
 
     def bwd(g):
-        x.accumulate_grad(g.reshape(x.shape))
+        slot.add(g.reshape(in_shape))
 
     return _make_out(data, (x,), bwd)
 
 
 def permute(x: Tensor, axes) -> Tensor:
+    slot = x._slot
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     data = x.data.transpose(axes)
 
     def bwd(g):
-        x.accumulate_grad(g.transpose(inv))
+        slot.add(g.transpose(inv))
 
     return _make_out(data, (x,), bwd)
 
 
 def broadcast_to(x: Tensor, shape) -> Tensor:
     """Same-rank broadcast (size-1 axes expand), a read-only view; gradient sums over the expanded axes."""
+    slot, in_shape = x._slot, x.shape
     shape = tuple(shape)
     if len(shape) != x.ndim:
         raise ValueError(f"broadcast_to: {x.shape} to {shape} changes rank; reshape first")
     data = np.broadcast_to(x.data, shape)
 
     def bwd(g):
-        for i, (gd, xd) in enumerate(zip(g.shape, x.shape)):
+        for i, (gd, xd) in enumerate(zip(g.shape, in_shape)):
             if xd == 1 and gd != 1:
                 g = g.sum(axis=i, keepdims=True)
-        x.accumulate_grad(g)
+        slot.add(g)
 
     return _make_out(data, (x,), bwd)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice along one axis, a view."""
+    """Contiguous slice along one axis, a view; backward adds into that slice of the input's gradient."""
+    slot, in_shape = x._slot, x.shape
     idx = [slice(None)] * x.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
     data = x.data[idx]
 
     def bwd(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        x.accumulate_grad(full)
+        slot.add_at(idx, g, in_shape)
 
     return _make_out(data, (x,), bwd)
 
 
 def concat(tensors, axis: int) -> Tensor:
+    slots = [_slot_if_needed(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     cuts = np.cumsum([t.shape[axis] for t in tensors[:-1]])
 
     def bwd(g):
-        for t, part in zip(tensors, np.split(g, cuts, axis=axis)):
-            if t.requires_grad:
-                t.accumulate_grad(part)
+        for slot, part in zip(slots, np.split(g, cuts, axis=axis)):
+            if slot:
+                slot.add(part)
 
     return _make_out(data, tuple(tensors), bwd)
 
@@ -378,35 +437,46 @@ def concat(tensors, axis: int) -> Tensor:
 # Convolutions (im2col / col2im, cross-correlation semantics)
 # ---------------------------------------------------------------------------
 
+# Bytes of im2col columns a convolution forms at once: it forms them a chunk
+# of samples at a time, as many samples as fit, and at least one.
+_COLS_BLOCK_BYTES = 1 << 20
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int, taps: int):
+
+def _sample_chunks(n: int, sample_bytes: int) -> list[slice]:
+    """Consecutive slices of n samples, each with at most _COLS_BLOCK_BYTES / ``sample_bytes`` samples (at least one)."""
+    step = max(1, _COLS_BLOCK_BYTES // max(1, sample_bytes))
+    return [slice(s, min(n, s + step)) for s in range(0, n, step)]
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, taps: int) -> np.ndarray:
     """[n, c * taps, oh * ow] columns of each window's first ``taps`` raster taps; a 1x1 kernel at stride 1 views x."""
     n, c, h, w = x.shape
+    if taps == 1 and stride == 1:
+        return x.reshape(n, c, h * w)
     oh = (h + 2 * pad - k) // stride + 1
     ow = (w + 2 * pad - k) // stride + 1
-    if taps == 1 and stride == 1:
-        return x.reshape(n, c, h * w), oh, ow
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
     xp[:, :, pad : pad + h, pad : pad + w] = x
     cols = np.empty((n, c, taps, oh, ow), dtype=x.dtype)
     for t in range(taps):
         u, v = divmod(t, k)
         cols[:, :, t] = xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride]
-    return cols.reshape(n, c * taps, oh * ow), oh, ow
+    return cols.reshape(n, c * taps, oh * ow)
 
 
-def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """The adjoint of _im2col; the number of taps is read from the shape of ``cols``."""
-    n, c, h, w = x_shape
+def _col2im(cols: np.ndarray, out: np.ndarray, k: int, stride: int, pad: int, oh: int, ow: int) -> None:
+    """The adjoint of _im2col, written into ``out`` [n, c, h, w]; the number of taps is read from ``cols``."""
+    n, c, h, w = out.shape
     taps = cols.shape[1] // c
     if taps == 1 and stride == 1:
-        return cols.reshape(x_shape)
+        out[...] = cols.reshape(out.shape)
+        return
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols5 = cols.reshape(n, c, taps, oh, ow)
     for t in range(taps):
         u, v = divmod(t, k)
         xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
-    return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])  # no copy at pad 0
+    out[...] = xp[:, :, pad : pad + h, pad : pad + w]
 
 
 def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opname: str) -> int:
@@ -431,34 +501,48 @@ def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opna
 # the first t = k2.shape[1] // c raster taps of each kernel channel: all k * k
 # for conv2d, the causal k * k // 2 for masked_conv2d. conv2d_transposed runs its
 # sides swapped: its forward is the input gradient, col2im(k2.T @ x), and its
-# input gradient the forward, k2 @ im2col(g). All three take the kernel
-# gradient, sum over n of a[n] @ b[n].T, from _kernel_grad.
-def _kernel_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
+# input gradient the forward, k2 @ im2col(g). Each forms its columns in sample
+# chunks, and all three add the kernel gradient, the sum over n of a[n] @ b[n].T,
+# with _add_kernel_grad.
+def _add_kernel_grad(dk: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """dk += a[i] @ b[i].T for each sample i in order: the bits of np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
+    when dk starts as zeros."""
+    for ai, bi in zip(a, b):
+        dk += np.matmul(ai, bi.T)
 
 
-def _corr_forward(x: Tensor, k2: np.ndarray, bias: Tensor, k: int, stride: int) -> np.ndarray:
-    cols, oh, ow = _im2col(x.data, k, stride, k // 2, k2.shape[1] // x.shape[1])
-    out = np.matmul(k2, cols)  # [n, o, oh*ow]
-    out += bias.data.reshape(1, -1, 1)
-    return out.reshape(x.shape[0], -1, oh, ow)
+def _corr_forward(x: np.ndarray, k2: np.ndarray, bias: np.ndarray, k: int, stride: int) -> np.ndarray:
+    n, c, h, w = x.shape
+    rows, taps, pad = k2.shape[1], k2.shape[1] // c, k // 2
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    out = np.empty((n, k2.shape[0], oh * ow), dtype=x.dtype)
+    for s in _sample_chunks(n, rows * oh * ow * x.itemsize):
+        np.matmul(k2, _im2col(x[s], k, stride, pad, taps), out=out[s])
+    out += bias.reshape(1, -1, 1)
+    return out.reshape(n, -1, oh, ow)
 
 
-def _corr_backward(g, x: Tensor, kernel: Tensor, bias: Tensor, k2, k, stride) -> None:
-    """Gathers the forward's columns again from x for the kernel gradient, rather than keeping them."""
-    g2 = g.reshape(g.shape[0], g.shape[1], -1)
-    if bias.requires_grad:
-        bias.accumulate_grad(g2.sum(axis=(0, 2)))
-    if kernel.requires_grad:
-        o, c = kernel.shape[:2]
-        taps = k2.shape[1] // c
-        cols = _im2col(x.data, k, stride, k // 2, taps)[0]
-        dk = np.zeros(kernel.shape, dtype=g.dtype)  # 0.0 on the taps k2 leaves out
-        dk.reshape(o, c, k * k)[:, :, :taps] = _kernel_grad(g2, cols).reshape(o, c, -1)
-        del cols  # the columns go before the input gradient is formed
-        kernel.accumulate_grad(dk)
-    if x.requires_grad:
-        x.accumulate_grad(_col2im(np.matmul(k2.T, g2), x.shape, k, stride, k // 2, *g.shape[2:]))
+def _corr_backward(g, x: np.ndarray, slots, kernel_shape, k2, k, stride) -> None:
+    """Gathers the forward's columns again from x, a chunk of samples at a time, for the kernel gradient."""
+    x_slot, kernel_slot, bias_slot = slots
+    n, o = g.shape[:2]
+    g2 = g.reshape(n, o, -1)
+    if bias_slot:
+        bias_slot.add(g2.sum(axis=(0, 2)))
+    c, taps, pad = x.shape[1], k2.shape[1] // x.shape[1], k // 2
+    chunks = _sample_chunks(n, k2.shape[1] * g2.shape[2] * x.itemsize)
+    if kernel_slot:
+        dk2 = np.zeros(k2.shape, dtype=g.dtype)
+        for s in chunks:
+            _add_kernel_grad(dk2, g2[s], _im2col(x[s], k, stride, pad, taps))
+        dk = np.zeros(kernel_shape, dtype=g.dtype)  # 0.0 on the taps k2 leaves out
+        dk.reshape(o, c, k * k)[:, :, :taps] = dk2.reshape(o, c, -1)
+        kernel_slot.add(dk)
+    if x_slot:
+        dx = np.empty(x.shape, dtype=g.dtype)
+        for s in chunks:
+            _col2im(np.matmul(k2.T, g2[s]), dx[s], k, stride, pad, *g.shape[2:])
+        x_slot.add(dx)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -466,11 +550,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
     k = _check_conv_args(x, kernel, bias, 1, "conv2d")
     if stride < 1:
         raise ValueError(f"conv2d: stride must be >= 1, got {stride}")
+    xd, kernel_shape, slots = x.data, kernel.shape, tuple(map(_slot_if_needed, (x, kernel, bias)))
     k2 = kernel.data.reshape(kernel.shape[0], kernel.shape[1] * k * k)
-    data = _corr_forward(x, k2, bias, k, stride)
+    data = _corr_forward(xd, k2, bias.data, k, stride)
 
     def bwd(g):
-        _corr_backward(g, x, kernel, bias, k2, k, stride)
+        _corr_backward(g, xd, slots, kernel_shape, k2, k, stride)
 
     return _make_out(data, (x, kernel, bias), bwd)
 
@@ -483,20 +568,31 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """
     k = _check_conv_args(x, kernel, bias, 0, "conv2d_transposed")
     n, ci, h, w = x.shape
-    co, pad = kernel.shape[1], k // 2 - 1
+    co, pad, kernel_shape = kernel.shape[1], k // 2 - 1, kernel.shape
+    x_slot, kernel_slot, bias_slot = map(_slot_if_needed, (x, kernel, bias))
     k2 = kernel.data.reshape(ci, co * k * k)
     x2 = x.data.reshape(n, ci, h * w)
-    data = _col2im(np.matmul(k2.T, x2), (n, co, 2 * h, 2 * w), k, 2, pad, h, w)
+    chunks = _sample_chunks(n, co * k * k * h * w * x.data.itemsize)
+    data = np.empty((n, co, 2 * h, 2 * w), dtype=x.data.dtype)
+    for s in chunks:
+        _col2im(np.matmul(k2.T, x2[s]), data[s], k, 2, pad, h, w)
     data += bias.data.reshape(1, co, 1, 1)
 
     def bwd(g):
-        if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        gcols, _, _ = _im2col(g, k, 2, pad, k * k)  # back to [n, co*k*k, h*w]
-        if kernel.requires_grad:
-            kernel.accumulate_grad(_kernel_grad(x2, gcols).reshape(kernel.shape))
-        if x.requires_grad:
-            x.accumulate_grad(np.matmul(k2, gcols).reshape(x.shape))
+        if bias_slot:
+            bias_slot.add(g.sum(axis=(0, 2, 3)))
+        dk2 = np.zeros(k2.shape, dtype=g.dtype) if kernel_slot else None
+        dx2 = np.empty(x2.shape, dtype=g.dtype) if x_slot else None
+        for s in chunks:
+            gcols = _im2col(g[s], k, 2, pad, k * k)  # back to [samples, co*k*k, h*w]
+            if kernel_slot:
+                _add_kernel_grad(dk2, x2[s], gcols)
+            if x_slot:
+                np.matmul(k2, gcols, out=dx2[s])
+        if kernel_slot:
+            kernel_slot.add(dk2.reshape(kernel_shape))
+        if x_slot:
+            x_slot.add(dx2.reshape(n, ci, h, w))
 
     return _make_out(data, (x, kernel, bias), bwd)
 
@@ -511,10 +607,11 @@ def masked_conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """
     k = _check_conv_args(x, kernel, bias, 1, "masked_conv2d")
     o, c = kernel.shape[:2]
+    xd, kernel_shape, slots = x.data, kernel.shape, tuple(map(_slot_if_needed, (x, kernel, bias)))
     k2 = kernel.data.reshape(o, c, k * k)[:, :, : k * k // 2].reshape(o, -1)
-    data = _corr_forward(x, k2, bias, k, 1)
+    data = _corr_forward(xd, k2, bias.data, k, 1)
 
     def bwd(g):
-        _corr_backward(g, x, kernel, bias, k2, k, 1)
+        _corr_backward(g, xd, slots, kernel_shape, k2, k, 1)
 
     return _make_out(data, (x, kernel, bias), bwd)

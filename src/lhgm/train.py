@@ -221,8 +221,9 @@ def train_loop(
         x = sample_patches(corpus, config.patch, config.batch, crop_rng)
         compute = {name: Tensor(p.data.astype(np.float32), requires_grad=True) for name, p in params.items()}
         with GradTape():
-            out = M.forward(x, ModelWeights(weights.config, compute), "train", rng=noise_rng)
-            total, row = loss(out, x, step, config)
+            # the forward's outputs are not held through backward: the tape keeps what its closures read
+            total, row = loss(M.forward(x, ModelWeights(weights.config, compute), "train", rng=noise_rng),
+                              x, step, config)
             T.backward(total)
         for name, p in params.items():
             g = compute[name].grad

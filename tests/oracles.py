@@ -5,6 +5,9 @@ high-precision special functions) and shares no code with the package
 under test, except ``op_chain_mixture_prob``: it composes the engine's
 elementary ops, each checked on its own against finite differences, into
 the likelihood that ``lhgm.distributions.mixture_prob`` computes as one op.
+``batched_correlation`` and ``batched_upsampler`` are not naive: they form
+the im2col columns of the whole batch at once, in the float operations and
+order that the engine's sample chunks must reproduce bit for bit.
 """
 
 import math
@@ -66,6 +69,67 @@ def naive_conv2d_transposed(x, k, b, stride, pad):
     if b is not None:
         out += b.reshape(1, co, 1, 1)
     return out
+
+
+def batched_im2col(x, k, stride, pad, taps):
+    """[n, c * taps, oh * ow] columns of the whole batch: row c * taps + t holds raster tap t of channel c."""
+    n, c, h, w = x.shape
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, taps, oh, ow), dtype=x.dtype)
+    for t in range(taps):
+        u, v = divmod(t, k)
+        cols[:, :, t] = xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride]
+    return cols.reshape(n, c * taps, oh * ow)
+
+
+def batched_col2im(cols, shape, k, stride, pad, oh, ow):
+    """The adjoint of ``batched_im2col``: the taps added in raster order into a zero padded [n, c, h, w]."""
+    n, c, h, w = shape
+    taps = cols.shape[1] // c
+    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols5 = cols.reshape(n, c, taps, oh, ow)
+    for t in range(taps):
+        u, v = divmod(t, k)
+        xp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += cols5[:, :, t]
+    return xp[:, :, pad : pad + h, pad : pad + w].copy()
+
+
+def batched_correlation(x, kernel, bias, g, stride, taps):
+    """Output and (dx, dk, db) for upstream gradient ``g`` of a same-padded correlation, whole batch at once.
+
+    Only the first ``taps`` raster taps of each kernel channel are read:
+    k * k for conv2d, k * k // 2 for masked_conv2d (whose dk is 0.0 on the
+    rest). dk sums the per-sample products g[i] @ cols[i].T over the batch
+    axis; dx scatters k2.T @ g back through ``batched_col2im``.
+    """
+    n = x.shape[0]
+    o, c, k, _ = kernel.shape
+    k2 = kernel.reshape(o, c, k * k)[:, :, :taps].reshape(o, -1)
+    cols = batched_im2col(x, k, stride, k // 2, taps)
+    oh, ow = g.shape[2:]
+    out = np.matmul(k2, cols) + bias.reshape(1, -1, 1)
+    g2 = g.reshape(n, o, -1)
+    dk = np.zeros(kernel.shape, dtype=x.dtype)
+    dk.reshape(o, c, k * k)[:, :, :taps] = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(o, c, -1)
+    dx = batched_col2im(np.matmul(k2.T, g2), x.shape, k, stride, k // 2, oh, ow)
+    return out.reshape(n, o, oh, ow), dx, dk, g2.sum(axis=(0, 2))
+
+
+def batched_upsampler(x, kernel, bias, g):
+    """Output and (dx, dk, db) for upstream gradient ``g`` of the x2 transposed convolution, whole batch at once.
+
+    Kernel [ci, co, k, k] with k even, stride 2 and padding k // 2 - 1: the
+    output is col2im(k2.T @ x), and backward reads the columns of g.
+    """
+    n, ci, h, w = x.shape
+    co, k = kernel.shape[1], kernel.shape[2]
+    pad = k // 2 - 1
+    k2, x2 = kernel.reshape(ci, co * k * k), x.reshape(n, ci, h * w)
+    out = batched_col2im(np.matmul(k2.T, x2), (n, co, 2 * h, 2 * w), k, 2, pad, h, w) + bias.reshape(1, co, 1, 1)
+    gcols = batched_im2col(g, k, 2, pad, k * k)
+    dk = np.matmul(x2, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+    return out, np.matmul(k2, gcols).reshape(x.shape), dk, g.sum(axis=(0, 2, 3))
 
 
 def op_chain_mixture_prob(weights, means, scales, values, lo=None, hi=None):

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -11,7 +12,17 @@ import pytest
 import lhgm.tensor as T
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import central_difference_grad, mask_a, naive_conv2d, naive_conv2d_transposed, phi, rel_err
+from oracles import (
+    batched_correlation,
+    batched_im2col,
+    batched_upsampler,
+    central_difference_grad,
+    mask_a,
+    naive_conv2d,
+    naive_conv2d_transposed,
+    phi,
+    rel_err,
+)
 
 RNG = np.random.default_rng(20240811)
 
@@ -427,6 +438,39 @@ class TestBackward:
             tracemalloc.stop()
         assert held < 2 * out.data.nbytes, f"{op} held {held / out.data.nbytes:.1f}x its output"
 
+    # consumer of conv2d's output c, whether its backward reads c, and dL/dc from the upstream g
+    CONSUMERS = {
+        "leaky_relu": (lambda x, c: T.leaky_relu(c, 0.2), False, lambda c, g: np.where(c > 0.0, g, g * 0.2)),
+        "residual_add": (lambda x, c: x + c, False, lambda c, g: g),
+        "softplus": (lambda x, c: T.softplus(c), True, lambda c, g: g * (0.5 * (np.tanh(0.5 * c) + 1.0))),
+    }
+
+    @pytest.mark.parametrize("consumer", CONSUMERS)
+    def test_an_activation_no_backward_reads_is_freed_during_the_forward(self, consumer):
+        # leaky_relu's backward reads a mask and add's only shapes, so conv2d's output goes as soon as the
+        # caller drops it; softplus reads its input, which must stay
+        apply, read, upstream = self.CONSUMERS[consumer]
+        x, k, b = RNG.normal(size=(2, 4, 6, 6)), RNG.normal(size=(4, 4, 3, 3)), RNG.normal(size=4)
+        g = RNG.normal(size=(2, 4, 6, 6))
+        xs, ks, bs = (Tensor(a.copy(), requires_grad=True) for a in (x, k, b))
+        with GradTape():
+            c = T.conv2d(xs, ks, bs)
+            owner = c.data
+            while owner.base is not None:
+                owner = owner.base
+            c_array = weakref.ref(owner)
+            del owner
+            out = apply(xs, c)
+            del c
+            assert (c_array() is not None) == read
+            T.backward(T.reduce_sum(out * Tensor(g)))
+        # the gradients are those of conv2d under dL/dc formed by hand, and the residual's x adds g once more
+        c = T.conv2d(Tensor(x), Tensor(k), Tensor(b)).data
+        _, dx, dk, db = engine_grads(T.conv2d, x, k, b, upstream(c, g))
+        np.testing.assert_array_equal(xs.grad, g + dx if consumer == "residual_add" else dx)
+        np.testing.assert_array_equal(ks.grad, dk)
+        np.testing.assert_array_equal(bs.grad, db)
+
     def test_reuse_accumulates(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         with GradTape():
@@ -617,6 +661,48 @@ class TestConvCoreExact:
         for xx, kk, bb in bad_calls:
             with pytest.raises(ValueError, match=rf"^{op.__name__}: "):
                 op(xx, kk, bb)
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestConvChunks:
+    """Columns formed in sample chunks give the whole batch's outputs and gradients bit for bit."""
+
+    # (op, x shape without the batch, kernel shape, stride); the transposed op takes stride 2 by construction
+    CASES = {
+        "conv2d": (T.conv2d, (4, 9, 7), (5, 4, 3, 3), 1),
+        "conv2d_stride2": (T.conv2d, (4, 9, 7), (5, 4, 3, 3), 2),
+        "masked_conv2d": (T.masked_conv2d, (4, 7, 6), (5, 4, 5, 5), 1),
+        "conv2d_transposed": (T.conv2d_transposed, (4, 5, 6), (4, 3, 4, 4), 2),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("per_chunk", [1, 2, None], ids=["chunk1", "chunk2", "default"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_chunked_columns_equal_the_batched_reference(self, case, per_chunk, n, dtype, monkeypatch):
+        op, x_shape, k_shape, stride = self.CASES[case]
+        out_channels = k_shape[1] if op is T.conv2d_transposed else k_shape[0]
+        x, k, b = (RNG.normal(size=shape).astype(dtype) for shape in ((n, *x_shape), k_shape, (out_channels,)))
+        if op is T.conv2d_transposed:
+            g = RNG.normal(size=(n, k_shape[1], 2 * x_shape[1], 2 * x_shape[2])).astype(dtype)
+            want = batched_upsampler(x, k, b, g)
+            sample_bytes = batched_im2col(g[:1], k_shape[2], 2, k_shape[2] // 2 - 1, k_shape[2] ** 2).nbytes
+        else:
+            taps = k_shape[2] ** 2 // 2 if op is T.masked_conv2d else k_shape[2] ** 2
+            same_padded = [(side - 1) // stride + 1 for side in x_shape[1:]]  # an odd side k, padded by k // 2
+            g = RNG.normal(size=(n, k_shape[0], *same_padded)).astype(dtype)
+            want = batched_correlation(x, k, b, g, stride, taps)
+            sample_bytes = batched_im2col(x[:1], k_shape[2], stride, k_shape[2] // 2, taps).nbytes
+        if per_chunk is not None:
+            monkeypatch.setattr(T, "_COLS_BLOCK_BYTES", per_chunk * sample_bytes)
+            assert len(T._sample_chunks(n, sample_bytes)) == -(-n // per_chunk)
+        kw = {} if op is not T.conv2d else {"stride": stride}
+        got = engine_grads(op, x, k, b, g, **kw)
+        for name, a, w in zip(("output", "dx", "dk", "db"), got, want):
+            assert same_bits(a, w), f"{case} {name} differs from the batched reference"
 
 
 class TestDeterminism:
