@@ -120,8 +120,13 @@ class MixtureParams:
         return rearrange(self.weights), rearrange(self.means), rearrange(self.scales)
 
 
-def _signed_tail(edge: np.ndarray, params: MixtureParams, folded: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """t = (edge - mu) / sigma of one bin edge per component, its signed tail g = c * Phi(c * t), and c.
+def _edge_t(edge: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """t = (edge - mu) / sigma of one bin edge per component; forward and backward both compute t with it."""
+    return (edge - mu) / sigma
+
+
+def _signed_tail(t: np.ndarray, folded: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The signed tail g = c * Phi(c * t) of one bin edge per component, and c.
 
     c is +1 at or below the mean and -1 above it, so c * t = -|t|; it is 0
     on folded edges, whose tail is the constant 0. Phi runs as the engine's
@@ -129,17 +134,19 @@ def _signed_tail(edge: np.ndarray, params: MixtureParams, folded: np.ndarray | N
     bits of ``ndtr``; the detour exists only so that the trace's
     ``tensor.fwd.std_normal_cdf`` span still times Phi in training.
     """
-    t = (edge - params.means.data) / params.scales.data
     scalar = t.dtype.type
     c = np.where(t > 0.0, scalar(-1.0), scalar(1.0))
     if folded is not None:
         c[np.broadcast_to(folded, c.shape)] = 0.0
-    return t, T.std_normal_cdf(Tensor(t * c)).data * c, c
+    return T.std_normal_cdf(Tensor(t * c)).data * c, c
 
 
 def _edge_density(t: np.ndarray, folded: np.ndarray | None) -> np.ndarray:
     """f = phi(t) * c * c, the derivative of a signed tail in t: phi(t), and 0 on folded edges."""
-    f = _INV_SQRT_2PI * np.exp(-0.5 * t * t)
+    f = np.multiply(t, -0.5)
+    f *= t
+    np.exp(f, out=f)
+    f *= _INV_SQRT_2PI
     if folded is not None:
         f[np.broadcast_to(folded, f.shape)] = 0.0
     return f
@@ -162,8 +169,11 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
     edges) and G the upstream gradient: dw = G * per,
     dmu = G * w * (f(l) - f(u)) / sigma, dsigma = G * w * (f(l) * t(l) -
     f(u) * t(u)) / sigma, and dv = sum over k of G * w * (f(u) - f(l)) / sigma.
-    Backward keeps per, the two edges' t, the folds, w and sigma, and the
-    gradient slots of the inputs that need one (see ``lhgm.tensor``).
+    Backward keeps per, w, mu, sigma, the values and the folds, and the
+    gradient slots of the inputs that need one (see ``lhgm.tensor``). It
+    computes both edges' t again with the forward's expression, a chunk of
+    samples at a time, and writes each gradient into its one array, so its
+    scratch is about eight [chunk, K, C, H, W] arrays.
     """
     weights, means, scales = params.weights, params.means, params.scales
     n, _, c, h, w = weights.shape
@@ -173,25 +183,37 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
         alphabet.check(values.data)
         lo_fold, hi_fold = per_element == alphabet.lo, per_element == alphabet.hi
     half = per_element.dtype.type(0.5)
-    t_upper, g_upper, c_upper = _signed_tail(per_element + half, params, hi_fold)
-    t_lower, g_lower, c_lower = _signed_tail(per_element - half, params, lo_fold)
+    w_data, mu, sigma = weights.data, means.data, scales.data
+    g_upper, c_upper = _signed_tail(_edge_t(per_element + half, mu, sigma), hi_fold)
+    g_lower, c_lower = _signed_tail(_edge_t(per_element - half, mu, sigma), lo_fold)
     per = g_upper - g_lower + ((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype)
-    del g_upper, g_lower, c_upper, c_lower  # before the weighted sum: backward keeps only per and the two t
-    w_data, sigma = weights.data, scales.data
-    slot_w, slot_mu, slot_sigma, slot_v = map(T._slot_if_needed, (weights, means, scales, values))
+    del g_upper, g_lower, c_upper, c_lower  # before the weighted sum: backward keeps only per
+    slots = tuple(map(T._slot_if_needed, (weights, means, scales, values)))
 
     def bwd(g):
         g = g.reshape(n, 1, c, h, w)
-        if slot_w:
-            slot_w.add(g * per)
-        f_upper, f_lower = _edge_density(t_upper, hi_fold), _edge_density(t_lower, lo_fold)
-        g_over_sigma = g * w_data / sigma
-        if slot_mu:
-            slot_mu.add(g_over_sigma * (f_lower - f_upper))
-        if slot_sigma:
-            slot_sigma.add(g_over_sigma * (f_lower * t_lower - f_upper * t_upper))
-        if slot_v:
-            slot_v.add((g_over_sigma * (f_upper - f_lower)).sum(axis=1))
+        dtype = np.result_type(g, w_data)
+        dw, dmu, dsigma = (np.empty(w_data.shape, dtype) if slot else None for slot in slots[:3])
+        dv = np.empty((n, c, h, w), dtype) if slots[3] else None
+        for s in T._sample_chunks(n, 8 * w_data[0].nbytes):
+            if dw is not None:
+                np.multiply(g[s], per[s], out=dw[s])
+            t_upper = _edge_t(per_element[s] + half, mu[s], sigma[s])
+            t_lower = _edge_t(per_element[s] - half, mu[s], sigma[s])
+            f_upper = _edge_density(t_upper, None if hi_fold is None else hi_fold[s])
+            f_lower = _edge_density(t_lower, None if lo_fold is None else lo_fold[s])
+            g_over_sigma = g[s] * w_data[s] / sigma[s]
+            if dmu is not None:
+                np.multiply(g_over_sigma, f_lower - f_upper, out=dmu[s])
+            if dsigma is not None:
+                t_lower *= f_lower
+                t_upper *= f_upper
+                np.multiply(g_over_sigma, t_lower - t_upper, out=dsigma[s])
+            if dv is not None:
+                np.sum(g_over_sigma * (f_upper - f_lower), axis=1, out=dv[s])
+        for slot, d in zip(slots, (dw, dmu, dsigma, dv)):
+            if slot:
+                slot.take(d)
 
     return T._make_out((w_data * per).sum(axis=1), (weights, means, scales, values), bwd)
 

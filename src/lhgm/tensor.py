@@ -28,29 +28,41 @@ Gradients are recorded on an explicit :class:`GradTape`, of which at most
 one is active: entering a second raises. Replaying the tape in reverse
 execution order is a valid topological order by construction.
 
-Memory contract of training: backward keeps only what it reads. A
-tensor's gradient lives in a small slot of its own, which ``Tensor.grad``
-reads and backward closures add into, and a tape record is an op's output
-slot and its backward closure, not the output itself. Each closure holds
-the slots it adds into and only the arrays its own formula reads: the
-convolutions and the upsampler their input (and kernel), ``leaky_relu``
-and ``clamp`` a boolean mask, ``mul`` and ``div`` the operands their
-gradients read, ``softplus``, ``log`` and ``std_normal_cdf`` their input,
+Memory contract of training: every array a step holds exists once, and
+only as long as something reads it. A tensor's gradient lives in a small
+slot of its own, which ``Tensor.grad`` reads and backward closures add
+into, and a tape record is an op's output slot and its backward closure,
+not the output itself. Each closure holds the slots it adds into and only
+the arrays its own formula reads: the convolutions and the upsampler their
+input (and kernel), ``leaky_relu`` and ``clamp`` a boolean mask, ``mul``
+and ``div`` the operands their gradients read, ``log`` and
+``std_normal_cdf`` their input, ``softplus`` sigmoid(x), its derivative,
 ``softmax``, ``tanh`` and ``sigmoid`` their output, and ``add``, ``sub``,
-``reduce_sum`` and the shape ops shapes only. So an activation that no
-backward reads, such as a convolution's output that feeds ``leaky_relu``
-or a residual ``add``, is freed as soon as its caller drops it, during the
+``reduce_sum`` and the shape ops shapes only. A value that is cheap to
+compute again from arrays backward keeps anyway is computed again, not
+kept: ``lhgm.distributions.mixture_prob`` keeps neither bin edge's
+standardized distance. So an activation that no backward reads, such as a
+convolution's output that feeds ``leaky_relu``, ``softplus`` or a
+residual ``add``, is freed as soon as its caller drops it, during the
 forward. A record lives until backward has run its closure, and the
 gradient in its slot survives only if the caller still holds the output.
-A step's peak is therefore the arrays backward reads plus the gradients
-in flight. The convolutions form their im2col columns (k * k times the
-input for a k x k kernel) a chunk of samples at a time, at most about
-``_COLS_BLOCK_BYTES`` per chunk unless one sample needs more, in forward
-and again in backward for the kernel gradient, and so does the upsampler
-with the columns of its output gradient. The kernel gradient adds each
-sample's product in sample order, so every output and gradient equals the
-whole-batch computation bit for bit. Ops run without a tape record
-nothing.
+A closure that has just made a gradient array hands it to the slot
+(``_GradSlot.take``), which keeps it as the first gradient; views,
+broadcasts and the upstream gradient itself are copied (``_GradSlot.add``),
+so no two slots share a buffer. A step's peak is therefore the arrays
+backward reads plus the gradients in flight. The convolutions form their
+im2col columns (k * k times the input for a k x k kernel) a chunk of
+samples at a time, at most about ``_COLS_BLOCK_BYTES`` per chunk unless one
+sample needs more, in forward and again in backward for the kernel
+gradient, and so does the upsampler with the columns of its output
+gradient. The kernel gradient adds each sample's product in sample order,
+so every output and gradient equals the whole-batch computation bit for
+bit. Ops run without a tape record nothing, and prepare nothing for a
+backward. The boundary with the optimizer is the caller's, since a leaf's
+gradient lives until the caller drops it: ``lhgm.train`` casts each float32
+leaf gradient to float64 on its master parameter and drops the leaf at
+once, and drops the float64 gradient once Adam and the step's metrics row
+have read it.
 """
 
 from __future__ import annotations
@@ -79,6 +91,15 @@ class _GradSlot:
             self.grad = np.array(g, dtype=self.dtype, order="C")
         else:
             self.grad += g
+
+    def take(self, g: np.ndarray) -> None:
+        """Add ``g``, an array the caller has just made and holds nowhere else; the first ``g`` is kept, not
+        copied, when it owns a writeable C-order buffer of the slot's dtype, and copied as by :meth:`add` otherwise."""
+        if (self.grad is None and g.base is None and g.dtype == self.dtype
+                and g.flags.c_contiguous and g.flags.writeable):
+            self.grad = g
+        else:
+            self.add(g)
 
     def add_at(self, idx, g: np.ndarray, shape) -> None:
         """Add ``g`` into the part ``idx`` of a gradient of ``shape``, which starts as zeros."""
@@ -195,11 +216,16 @@ def backward(loss: Tensor) -> None:
         records.clear()
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` records its backward closure: a tape is active and an input requires a gradient."""
+    return _ACTIVE is not None and any(t.requires_grad for t in inputs)
+
+
 def _make_out(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     # A one-input op's closure is recorded only when its input requires a
     # gradient, so it needs no guard; ops with several inputs check each one.
     out = Tensor(data)
-    if _ACTIVE is not None and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
         _ACTIVE.record(out, backward_fn)
     return out
@@ -265,7 +291,7 @@ def div(a, b) -> Tensor:
 
 def log(x: Tensor) -> Tensor:
     slot, xd = x._slot, x.data
-    return _make_out(_quiet(np.log)(xd), (x,), _quiet(lambda g: slot.add(g / xd)))
+    return _make_out(_quiet(np.log)(xd), (x,), _quiet(lambda g: slot.take(g / xd)))
 
 
 def clamp(x: Tensor, lo: float) -> Tensor:
@@ -275,7 +301,7 @@ def clamp(x: Tensor, lo: float) -> Tensor:
     inside = x.data >= lo
 
     def bwd(g):
-        slot.add(g * inside)
+        slot.take(g * inside)
 
     return _make_out(data, (x,), bwd)
 
@@ -287,18 +313,24 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
     positive = x.data > 0.0
 
     def bwd(g):
-        slot.add(np.where(positive, g, g * slope))
+        slot.take(np.where(positive, g, g * slope))
 
     return _make_out(np.where(positive, x.data, x.data * slope), (x,), bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
+    """log(1 + e^x); backward keeps sigmoid(x), its derivative, and not x, which may be a view of a larger array."""
     slot, xd = x._slot, x.data
     # log(1 + e^x) = max(x, 0) + log1p(e^-|x|); exp never sees a positive argument
-    data = np.maximum(xd, 0.0) + np.log1p(np.exp(-np.abs(xd)))
+    data = np.abs(xd, out=np.empty_like(xd))
+    np.negative(data, out=data)
+    np.exp(data, out=data)
+    np.log1p(data, out=data)
+    np.add(np.maximum(xd, 0.0), data, out=data)
+    sig = _sigmoid_np(xd) if _recording((x,)) else None
 
     def bwd(g):
-        slot.add(g * _sigmoid_np(xd))
+        slot.take(g * sig)
 
     return _make_out(data, (x,), bwd)
 
@@ -308,13 +340,18 @@ def tanh(x: Tensor) -> Tensor:
     data = np.tanh(x.data)
 
     def bwd(g):
-        slot.add(g * (1.0 - data * data))
+        slot.take(g * (1.0 - data * data))
 
     return _make_out(data, (x,), bwd)
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
+    """0.5 * (tanh(0.5 * x) + 1.0), in one buffer."""
+    s = np.multiply(0.5, x, out=np.empty_like(x))  # out= keeps a 0-d x an array
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -322,20 +359,20 @@ def sigmoid(x: Tensor) -> Tensor:
     data = _sigmoid_np(x.data)
 
     def bwd(g):
-        slot.add(g * data * (1.0 - data))
+        slot.take(g * data * (1.0 - data))
 
     return _make_out(data, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     slot = x._slot
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        slot.add(data * (g - inner))
+        slot.take(data * (g - inner))
 
     return _make_out(data, (x,), bwd)
 
@@ -357,7 +394,7 @@ def std_normal_cdf(x: Tensor) -> Tensor:
     data = ndtr(xd)
 
     def bwd(g):
-        slot.add(g * _INV_SQRT_2PI * np.exp(-0.5 * xd * xd))
+        slot.take(g * _INV_SQRT_2PI * np.exp(-0.5 * xd * xd))
 
     return _make_out(data, (x,), bwd)
 
@@ -437,8 +474,9 @@ def concat(tensors, axis: int) -> Tensor:
 # Convolutions (im2col / col2im, cross-correlation semantics)
 # ---------------------------------------------------------------------------
 
-# Bytes of im2col columns a convolution forms at once: it forms them a chunk
-# of samples at a time, as many samples as fit, and at least one.
+# Bytes of scratch a chunked op forms at once, a chunk of samples at a time,
+# as many samples as fit and at least one: a convolution's im2col columns, or
+# the temporaries of mixture_prob's backward.
 _COLS_BLOCK_BYTES = 1 << 20
 
 
@@ -528,7 +566,7 @@ def _corr_backward(g, x: np.ndarray, slots, kernel_shape, k2, k, stride) -> None
     n, o = g.shape[:2]
     g2 = g.reshape(n, o, -1)
     if bias_slot:
-        bias_slot.add(g2.sum(axis=(0, 2)))
+        bias_slot.take(g2.sum(axis=(0, 2)))
     c, taps, pad = x.shape[1], k2.shape[1] // x.shape[1], k // 2
     chunks = _sample_chunks(n, k2.shape[1] * g2.shape[2] * x.itemsize)
     if kernel_slot:
@@ -537,12 +575,12 @@ def _corr_backward(g, x: np.ndarray, slots, kernel_shape, k2, k, stride) -> None
             _add_kernel_grad(dk2, g2[s], _im2col(x[s], k, stride, pad, taps))
         dk = np.zeros(kernel_shape, dtype=g.dtype)  # 0.0 on the taps k2 leaves out
         dk.reshape(o, c, k * k)[:, :, :taps] = dk2.reshape(o, c, -1)
-        kernel_slot.add(dk)
+        kernel_slot.take(dk)
     if x_slot:
         dx = np.empty(x.shape, dtype=g.dtype)
         for s in chunks:
             _col2im(np.matmul(k2.T, g2[s]), dx[s], k, stride, pad, *g.shape[2:])
-        x_slot.add(dx)
+        x_slot.take(dx)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1) -> Tensor:
@@ -580,19 +618,19 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 
     def bwd(g):
         if bias_slot:
-            bias_slot.add(g.sum(axis=(0, 2, 3)))
-        dk2 = np.zeros(k2.shape, dtype=g.dtype) if kernel_slot else None
-        dx2 = np.empty(x2.shape, dtype=g.dtype) if x_slot else None
+            bias_slot.take(g.sum(axis=(0, 2, 3)))
+        dk = np.zeros(kernel_shape, dtype=g.dtype) if kernel_slot else None
+        dx = np.empty((n, ci, h, w), dtype=g.dtype) if x_slot else None
         for s in chunks:
             gcols = _im2col(g[s], k, 2, pad, k * k)  # back to [samples, co*k*k, h*w]
             if kernel_slot:
-                _add_kernel_grad(dk2, x2[s], gcols)
+                _add_kernel_grad(dk.reshape(k2.shape), x2[s], gcols)
             if x_slot:
-                np.matmul(k2, gcols, out=dx2[s])
+                np.matmul(k2, gcols, out=dx.reshape(x2.shape)[s])
         if kernel_slot:
-            kernel_slot.add(dk2.reshape(kernel_shape))
+            kernel_slot.take(dk)
         if x_slot:
-            x_slot.add(dx2.reshape(n, ci, h, w))
+            x_slot.take(dx)
 
     return _make_out(data, (x, kernel, bias), bwd)
 

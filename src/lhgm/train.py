@@ -18,6 +18,10 @@ loss and backward run on a float32 copy of the weights and a float32
 batch, each float32 gradient is cast to float64 on its master parameter,
 and Adam updates the float64 weights from float64 moments. The weights a
 run returns, their file and everything the codec computes stay float64.
+A master parameter's gradient lives from that float32-to-float64 cast until
+Adam and the step's metrics row have read it; the float32 copy, its
+gradients and the batch are gone before then, so between steps the loop
+holds the weights and Adam's moments alone.
 """
 
 from __future__ import annotations
@@ -183,6 +187,24 @@ def sample_patches(corpus, patch: int, batch: int, rng: np.random.Generator) -> 
     return Tensor(out)
 
 
+def _gradients(weights: ModelWeights, x: Tensor, step: int, config: TrainConfig,
+               noise_rng: np.random.Generator) -> tuple[float, MetricsRow]:
+    """One step's forward, loss and backward on a float32 copy of ``weights``: sets each master tensor's
+    ``grad`` to its gradient cast to float64 (None if it has none), and returns the loss and the step's row.
+
+    The batch, the float32 copy and its gradients are gone when it returns.
+    """
+    compute = {name: Tensor(p.data.astype(np.float32), requires_grad=True) for name, p in weights.tensors.items()}
+    with GradTape():
+        # the forward's outputs are not held through backward: the tape keeps what its closures read
+        total, row = loss(M.forward(x, ModelWeights(weights.config, compute), "train", rng=noise_rng), x, step, config)
+        T.backward(total)
+    for name, p in weights.tensors.items():
+        g = compute.pop(name).grad
+        p.grad = None if g is None else g.astype(np.float64)
+    return total.item(), row
+
+
 def train_loop(
     config: TrainConfig,
     corpus,
@@ -218,18 +240,8 @@ def train_loop(
 
     for step in range(config.steps):
         lr = config.lr if step < config.lr_switch_step else config.lr_final
-        x = sample_patches(corpus, config.patch, config.batch, crop_rng)
-        compute = {name: Tensor(p.data.astype(np.float32), requires_grad=True) for name, p in params.items()}
-        with GradTape():
-            # the forward's outputs are not held through backward: the tape keeps what its closures read
-            total, row = loss(M.forward(x, ModelWeights(weights.config, compute), "train", rng=noise_rng),
-                              x, step, config)
-            T.backward(total)
-        for name, p in params.items():
-            g = compute[name].grad
-            p.grad = None if g is None else g.astype(np.float64)
-
-        value = total.item()
+        value, row = _gradients(weights, sample_patches(corpus, config.patch, config.batch, crop_rng), step, config,
+                                noise_rng)
         if initial_total is None and np.isfinite(value):
             initial_total = value
         if not np.isfinite(value) or value > 10.0 * initial_total:  # a finite value has set initial_total
@@ -247,6 +259,8 @@ def train_loop(
         if (step % config.log_every == 0) or step == config.steps - 1:
             metrics.append(replace(row, step=step, skipped=state.skipped, grad_norm=global_norm(params),
                                    wall_time=time.monotonic() - start))
+        for p in params.values():
+            p.grad = None
 
     if state.skipped:
         log.warning("training finished with %d skipped steps", state.skipped)

@@ -162,6 +162,36 @@ def op_chain_mixture_prob(weights, means, scales, values, lo=None, hi=None):
     return T.reduce_sum(weights * (g_upper - g_lower + straddle), axis=1)
 
 
+def whole_batch_mixture_prob_grads(w, mu, sigma, v, g, lo=None, hi=None):
+    """dw, dmu, dsigma and dv of ``mixture_prob`` for the upstream gradient ``g`` [N, C, H, W], computed as whole
+    [N, K, C, H, W] arrays in the order of the formulas in its docstring, with both edges' t kept from the forward.
+
+    ``w``, ``mu`` and ``sigma`` are [N, K, C, H, W] arrays and ``v`` an [N, C, H, W] array of one dtype; an edge
+    folded at ``lo`` or ``hi`` has f = 0.
+    """
+    n, _, c, h, wd = w.shape
+    per_element = v.reshape(n, 1, c, h, wd)
+    half = per_element.dtype.type(0.5)
+
+    def edge(e, folded_at):
+        t = (e - mu) / sigma
+        sign = np.where(t > 0.0, t.dtype.type(-1.0), t.dtype.type(1.0))
+        f = 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * t * t)
+        if folded_at is not None:
+            folded = np.broadcast_to(per_element == folded_at, t.shape)
+            sign[folded] = 0.0
+            f[folded] = 0.0
+        return t, ndtr(t * sign) * sign, sign, f
+
+    t_upper, g_upper, c_upper, f_upper = edge(per_element + half, hi)
+    t_lower, g_lower, c_lower, f_lower = edge(per_element - half, lo)
+    per = g_upper - g_lower + ((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype)
+    g = g.reshape(n, 1, c, h, wd)
+    g_over_sigma = g * w / sigma
+    return (g * per, g_over_sigma * (f_lower - f_upper), g_over_sigma * (f_lower * t_lower - f_upper * t_upper),
+            (g_over_sigma * (f_upper - f_lower)).sum(axis=1))
+
+
 def central_difference_grad(f, x, h=1e-5):
     """Gradient of scalar-valued f at x via central differences, elementwise."""
     x = np.asarray(x, dtype=np.float64)

@@ -12,7 +12,15 @@ import lhgm.tensor as T
 from lhgm.distributions import Alphabet, FactorizedPrior, MixtureParams
 from lhgm.tensor import GradTape, Tensor
 
-from oracles import blend_folded_prob, gaussian_bin_prob, one_shot_mixture_pmf, op_chain_mixture_prob, phi, rel_err
+from oracles import (
+    blend_folded_prob,
+    gaussian_bin_prob,
+    one_shot_mixture_pmf,
+    op_chain_mixture_prob,
+    phi,
+    rel_err,
+    whole_batch_mixture_prob_grads,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -457,6 +465,38 @@ class TestGradients:
         for got, want in zip(op, chain):
             if want is not None:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alphabet", [Alphabet(0, 9), None])
+    @pytest.mark.parametrize("per_chunk", [2, None], ids=["chunk2", "default"])
+    def test_mixture_prob_gradients_equal_the_whole_batch_formulas_bit_for_bit(self, per_chunk, alphabet, dtype,
+                                                                             monkeypatch):
+        # backward computes t again and walks the batch in sample chunks; chunks of 2 put a boundary inside the
+        # batch of 5, and the values hit both folded edges
+        rng = np.random.default_rng(23)
+        shape = (5, 3, 2, 3, 4)
+        logits = rng.normal(size=shape)
+        w = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        mu, sigma = rng.uniform(-1.0, 10.0, size=shape), rng.uniform(0.3, 3.0, size=shape)
+        v = rng.integers(0, 10, size=(5, 2, 3, 4)).astype(np.float64)
+        v[0, 0, 0, :2], v[3, 1, 2, 2:] = (0.0, 9.0), (9.0, 0.0)
+        if alphabet is None:
+            v += rng.uniform(-0.5, 0.5, size=v.shape)
+        g = rng.normal(size=v.shape)
+        w, mu, sigma, v, g = (a.astype(dtype) for a in (w, mu, sigma, v, g))
+        chunked = []
+        if per_chunk is not None:
+            monkeypatch.setattr(T, "_sample_chunks", lambda n, _: chunked.append(n) or
+                                [slice(s, min(n, s + per_chunk)) for s in range(0, n, per_chunk)])
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (w, mu, sigma, v)]
+        with GradTape():
+            T.backward(T.reduce_sum(D.mixture_prob(MixtureParams(*leaves[:3]), leaves[3], alphabet) * Tensor(g)))
+        assert chunked == ([] if per_chunk is None else [5])
+        bounds = (alphabet.lo, alphabet.hi) if alphabet else (None, None)
+        for name, leaf, want in zip(("dw", "dmu", "dsigma", "dv"), leaves,
+                                    whole_batch_mixture_prob_grads(w, mu, sigma, v, g, *bounds)):
+            assert leaf.grad.dtype == want.dtype == dtype, name
+            assert leaf.grad.tobytes() == want.tobytes(), name
 
     def test_mixture_prob_gradients(self):
         self.check_mixture_prob_gradients(WIDE, RNG)

@@ -330,6 +330,35 @@ class TestSoftplus:
         assert got[0] == 0.0 and got[1] == np.inf
 
 
+class TestOneBufferForwards:
+    """softplus and softmax compute in one buffer, with the bits of their whole-expression forms."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_and_softmax_keep_their_bits(self, dtype):
+        x = np.concatenate([RNG.normal(size=200) * 30, [-np.inf, -745.0, -0.0, 0.0, 1e-30, 88.0, 710.0, np.inf]])
+        x = x.astype(dtype)
+        want = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        assert same_bits(T.softplus(Tensor(x)).data, want)
+        logits = (RNG.normal(size=(4, 5, 6)) * 20).astype(dtype)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        assert same_bits(T.softmax(Tensor(logits), axis=1).data, e / e.sum(axis=1, keepdims=True))
+
+    def test_softplus_prepares_its_derivative_only_for_a_tape(self, monkeypatch):
+        # the codec runs softplus with no tape: it pays for the forward alone
+        calls = []
+        real = T._sigmoid_np
+        monkeypatch.setattr(T, "_sigmoid_np", lambda x: calls.append(x.shape) or real(x))
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        T.softplus(x)
+        with GradTape():
+            T.softplus(Tensor(x.data))
+        assert calls == []
+        with GradTape():
+            T.backward(T.reduce_sum(T.softplus(x)))
+        assert calls == [(3, 4)]
+        np.testing.assert_array_equal(x.grad, 0.5 * (np.tanh(0.5 * x.data) + 1.0))
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
@@ -438,17 +467,17 @@ class TestBackward:
             tracemalloc.stop()
         assert held < 2 * out.data.nbytes, f"{op} held {held / out.data.nbytes:.1f}x its output"
 
-    # consumer of conv2d's output c, whether its backward reads c, and dL/dc from the upstream g
+    # consumer of conv2d's output c, whether its backward keeps c, and dL/dc from the upstream g
     CONSUMERS = {
         "leaky_relu": (lambda x, c: T.leaky_relu(c, 0.2), False, lambda c, g: np.where(c > 0.0, g, g * 0.2)),
         "residual_add": (lambda x, c: x + c, False, lambda c, g: g),
-        "softplus": (lambda x, c: T.softplus(c), True, lambda c, g: g * (0.5 * (np.tanh(0.5 * c) + 1.0))),
+        "softplus": (lambda x, c: T.softplus(c), False, lambda c, g: g * (0.5 * (np.tanh(0.5 * c) + 1.0))),
     }
 
     @pytest.mark.parametrize("consumer", CONSUMERS)
     def test_an_activation_no_backward_reads_is_freed_during_the_forward(self, consumer):
-        # leaky_relu's backward reads a mask and add's only shapes, so conv2d's output goes as soon as the
-        # caller drops it; softplus reads its input, which must stay
+        # leaky_relu's backward reads a mask, add's only shapes and softplus's sigmoid(c), so conv2d's output
+        # goes as soon as the caller drops it
         apply, read, upstream = self.CONSUMERS[consumer]
         x, k, b = RNG.normal(size=(2, 4, 6, 6)), RNG.normal(size=(4, 4, 3, 3)), RNG.normal(size=4)
         g = RNG.normal(size=(2, 4, 6, 6))
@@ -502,6 +531,22 @@ class TestBackward:
             T.backward(T.reduce_sum(x * 2.0) + T.reduce_sum(x))
         np.testing.assert_array_equal(x.grad, np.full((3, 4), 3.0))
         assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+
+    def test_take_keeps_a_fresh_array_and_copies_anything_else(self):
+        fresh = RNG.normal(size=(3, 4))
+        slot = T._GradSlot(np.dtype(np.float64))
+        slot.take(fresh)
+        assert slot.grad is fresh
+        slot.take(fresh[::-1].copy())  # later gradients add in place
+        assert slot.grad is fresh
+        views = {"slice": fresh[:, 1:], "broadcast": np.broadcast_to(fresh[:1], (3, 4)), "transpose": fresh.T,
+                 "reshape": fresh.reshape(4, 3), "other_dtype": fresh.astype(np.float32), "scalar": fresh.sum()}
+        for name, first in views.items():
+            slot = T._GradSlot(np.dtype(np.float64))
+            slot.take(first)
+            assert not np.shares_memory(slot.grad, fresh), name
+            assert slot.grad.flags.writeable and slot.grad.flags.c_contiguous, name
+            np.testing.assert_array_equal(slot.grad, np.asarray(first, dtype=np.float64), err_msg=name)
 
     def test_broadcast_to_keeps_rank(self):
         with pytest.raises(ValueError, match=r"broadcast_to: \(4,\) to \(3, 4\) changes rank"):
@@ -767,3 +812,27 @@ class TestDtype:
             assert Tensor(data).data.dtype == np.float64
         x64 = np.ones(3)
         assert Tensor(x64).data is x64  # float64 data is not copied
+
+
+class TestGradientBuffers:
+    """A slot never aliases: every tensor's gradient is its own buffer, whichever op made it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", DTYPE_CASES)
+    def test_no_two_gradients_share_a_buffer(self, op, dtype):
+        leaves = []
+
+        def leaf(*shape):
+            leaves.append(Tensor(RNG.uniform(0.5, 2.0, size=shape).astype(dtype), requires_grad=True))
+            return leaves[-1]
+
+        x = leaf(2, 4, 6, 6)
+        with GradTape():
+            mid = T.leaky_relu(x, 0.2)  # an intermediate whose gradient the caller reads too
+            out = DTYPE_CASES[op](mid, leaf)
+            T.backward(T.reduce_sum(out * out) + T.reduce_sum(mid))
+        grads = [t.grad for t in (*leaves, mid, out)]
+        assert all(g is not None and g.flags.writeable for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)

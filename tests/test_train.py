@@ -215,6 +215,29 @@ class TestTrainLoop:
         assert moments and {a.dtype for a in moments} == {np.dtype(np.float64)}
         assert {t.data.dtype for t in weights.tensors.values()} == {np.dtype(np.float64)}
 
+    def test_no_master_gradient_outlives_its_step(self, monkeypatch):
+        # Adam and the step's row read the float64 gradients; the next step starts with none of them held
+        weights = M.init_weights(ModelConfig.tiny(), seed=5)
+        held_at_start, seen = [], []
+        real_sample, real_adam_step = TR.sample_patches, TR.adam_step
+
+        def sample(*args):
+            held_at_start.append(sorted(name for name, p in weights.tensors.items() if p.grad is not None))
+            return real_sample(*args)
+
+        def recording(params, state, lr):
+            seen.append(({p.grad.dtype for p in params.values() if p.grad is not None}, TR.global_norm(params)))
+            return real_adam_step(params, state, lr)
+
+        monkeypatch.setattr(TR, "sample_patches", sample)
+        monkeypatch.setattr(TR, "adam_step", recording)
+        _, rows = train_loop(tiny_schedule(steps=3), smooth_corpus(0), weights=weights)
+        assert held_at_start == [[], [], []]
+        assert all(p.grad is None for p in weights.tensors.values())
+        assert [dtypes for dtypes, _ in seen] == [{np.dtype(np.float64)}] * 3
+        assert [r.grad_norm for r in rows] == [norm for _, norm in seen]
+        assert all(norm > 0 for _, norm in seen) and [r.skipped for r in rows] == [0, 0, 0]
+
     def test_one_default_config_step_peaks_below_13_mib(self):
         # batch 8 of 32-px patches peaks near 11 MiB; a tape that held every op's output, closures that held
         # whole input tensors, or the upsampler's output-gradient columns formed for the whole batch at once
@@ -276,6 +299,7 @@ class TestTrainingObservability:
         assert [r.skipped for r in rows] == [0, 1, 1]
         assert np.isnan(rows[1].grad_norm)
         assert np.isfinite(rows[0].grad_norm) and np.isfinite(rows[2].grad_norm)
+        assert all(p.grad is None for p in weights.tensors.values())  # the NaN gradient went with its step
 
 
 def smooth_corpus(seed, count=4, size=32):
