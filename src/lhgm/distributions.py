@@ -29,6 +29,17 @@ Phi(lo + 1/2) and the bin at hi is 1 - Phi(hi - 1/2), and a one-symbol
 alphabet gets mass 1. An alphabet of A symbols costs A + 1 edge
 evaluations per component, one Phi per edge.
 
+Phi computes in the parameters' dtype, through ``lhgm.tensor``: a float32
+training step's ``mixture_prob`` runs the engine's float32 kernel, whose
+tail keeps its relative precision down to t = -13.2, where float32 leaves
+its normal range, and loads no scipy. The table path, ``mixture_pmf``, is
+always float64 and runs ``scipy.special.ndtr`` (``lhgm.tensor._ndtr64``,
+which imports scipy at its first call), as does a float64 ``mixture_prob``.
+Float64 stays on scipy so that the table bits do not depend on which SIMD
+kernel numpy picks for the CPU: a numpy kernel would run numpy's ``exp``,
+which numpy dispatches by CPU, where scipy's compiled ``ndtr`` calls the C
+library's ``exp``.
+
 Memory contract of the table path: ``mixture_pmf`` fills its preallocated
 [elements, alphabet.size] result in fixed blocks of rows, on up to
 ``_PMF_MAX_WORKERS`` threads. The calling thread makes one block of
@@ -45,7 +56,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import tensor as T
 from .tensor import _INV_SQRT_2PI, Tensor
@@ -126,19 +136,22 @@ def _edge_t(edge: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _signed_tail(t: np.ndarray, folded: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The signed tail g = c * Phi(c * t) of one bin edge per component, and c.
+    """The signed tail g = c * Phi(c * t) of one bin edge per component, and c; ``t`` is overwritten with c * t.
 
     c is +1 at or below the mean and -1 above it, so c * t = -|t|; it is 0
     on folded edges, whose tail is the constant 0. Phi runs as the engine's
-    ``std_normal_cdf`` on a constant, which records nothing and gives the
-    bits of ``ndtr``; the detour exists only so that the trace's
-    ``tensor.fwd.std_normal_cdf`` span still times Phi in training.
+    ``std_normal_cdf`` on a constant, which records nothing and computes in
+    t's dtype (see the module docstring); the detour exists only so that the
+    trace's ``tensor.fwd.std_normal_cdf`` span still times Phi in training.
     """
     scalar = t.dtype.type
     c = np.where(t > 0.0, scalar(-1.0), scalar(1.0))
     if folded is not None:
         c[np.broadcast_to(folded, c.shape)] = 0.0
-    return T.std_normal_cdf(Tensor(t * c)).data * c, c
+    t *= c
+    g = T.std_normal_cdf(Tensor(t)).data
+    g *= c
+    return g, c
 
 
 def _edge_density(t: np.ndarray, folded: np.ndarray | None) -> np.ndarray:
@@ -267,7 +280,7 @@ def mixture_pmf(weights: np.ndarray, means: np.ndarray, scales: np.ndarray, alph
             np.greater(t, 0.0, out=above)
             np.abs(t, out=t)
             np.negative(t, out=t)
-            ndtr(t, out=t)  # g = Phi(-|t|), negated above the mean
+            T._ndtr64(t, out=t)  # g = Phi(-|t|), negated above the mean
             np.negative(t, out=t, where=above)
             np.subtract(t[:, :, 1:], t[:, :, :-1], out=p)
             np.greater(above[:, :, 1:], above[:, :, :-1], out=straddle)

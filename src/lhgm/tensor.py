@@ -5,7 +5,12 @@ follows the dtype of its inputs: its output and the gradients it passes
 back take that dtype, and so do the constants and masks it makes (a
 scalar operand, a slope, a sign or a zero fill). So a float64 caller, the
 codec among them, computes the same bits as a float64-only engine would,
-and a float32 one never leaves float32. The public ops are this module's
+and a float32 one never leaves float32. ``std_normal_cdf`` is the one op
+whose dtypes run different code: float64 is scipy's ``ndtr``, imported at
+the first float64 call, and float32 is the engine's own kernel, Cephes
+``ndtrf`` in numpy, within a relative 4.0e-6 of Phi over the float32 normal
+range (see its docstring). So a process that computes only in float32, a
+training run, never loads scipy. The public ops are this module's
 functions whose names do not start with ``_``. Ops take Tensors. ``add``,
 ``sub``, ``mul`` and ``div`` are one body, ``_binary``, the one owner of
 their constant, shape and gradient rules: either operand may also be a
@@ -68,7 +73,6 @@ have read it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))  # a Python float keeps float32 float32
 
@@ -387,11 +391,97 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return _make_out(data, (x,), bwd)
 
 
+def _ndtr64(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Phi in float64: ``scipy.special.ndtr``, imported at the first call, so a process that never asks for a
+    float64 Phi never loads scipy."""
+    from scipy.special import ndtr
+
+    return ndtr(x, out=out)
+
+
+# Cephes ndtrf (Moshier's single-precision form of Cody, Math. Comp. 23, 1969), with z = |x| / sqrt(2):
+# erf(z) = z * T(z^2) below z = 1, and erfc(z) = exp(-z^2) / z * P(1/z^2) for 1 <= z < 2, R(1/z^2) above.
+# Phi = 1/2 + x / (2 sqrt 2) * T below z = 1, and erfc / 2 on the lower tail, so T carries the factor
+# 1 / (2 sqrt 2) and P and R the (exact) 1/2.
+_NDTR32_T = tuple(np.float32(c / (2.0 * np.sqrt(2.0))) for c in (
+    7.853861353153693e-5, -8.010193625184903e-4, 5.188327685732524e-3, -2.685381193529856e-2,
+    1.128358514861418e-1, -3.761262582423300e-1, 1.128379165726710e0))
+_NDTR32_P = tuple(np.float32(0.5 * c) for c in (
+    2.326819970068386e-2, -1.387039388740657e-1, 3.687424674597105e-1, -5.824733027278666e-1,
+    6.210004621745983e-1, -4.944515323274145e-1, 3.404879937665872e-1, -2.741127028184656e-1,
+    5.638259427386472e-1))
+_NDTR32_R = tuple(np.float32(0.5 * c) for c in (
+    -1.047766399936249e1, 1.297719955372516e1, -7.495518717768503e0, 2.921019019210786e0,
+    -1.015265279202700e0, 4.218463358204948e-1, -2.820767439740514e-1, 5.641895067754075e-1))
+
+
+def _horner(coefs, y: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coefs``, highest degree first, at ``y``, in one new array of y's dtype."""
+    out = y * coefs[0]
+    for c in coefs[1:-1]:
+        out += c
+        out *= y
+    out += coefs[-1]
+    return out
+
+
+# Elements per chunk of _ndtr32: a chunk's temporaries, about 25 bytes per element, stay in cache. On the
+# training step's inputs 16384 ran at 11-15 ns per element, 8192 and 32768 at 13-17 ns.
+_NDTR32_CHUNK = 1 << 14
+
+
+def _ndtr32(x: np.ndarray) -> np.ndarray:
+    """Phi in float32 from input to output (the Cephes ndtrf algorithm above), a chunk of elements at a time."""
+    xf = x.reshape(-1)
+    out = np.empty(xf.shape, np.float32)
+    with np.errstate(over="ignore"):  # |x| beyond 1.8e19 squares to inf, whose Phi is 0 or 1
+        for i in range(0, xf.size, _NDTR32_CHUNK):
+            _ndtr32_chunk(xf[i : i + _NDTR32_CHUNK], out[i : i + _NDTR32_CHUNK])
+    return out.reshape(x.shape)
+
+
+def _ndtr32_chunk(x: np.ndarray, out: np.ndarray) -> None:
+    """Phi(x) into ``out``, which first holds z^2 = x * x / 2 (one rounding); each branch runs on its own elements.
+
+    The lower tail is evaluated directly: Phi(x) for x <= -sqrt(2) is exp(-z^2) / z * P or R, not 1 minus a
+    number near 1, so tail bins keep their relative precision until exp(-z^2) leaves the normal range near
+    x = -13.2. Above the mean the tail gives 1 - Phi(-x). NaN takes the tail branch and stays NaN.
+    """
+    np.multiply(x, x, out=out)
+    out *= np.float32(0.5)
+    inner = out < 1.0
+    near = np.flatnonzero(inner)
+    far = np.flatnonzero(np.logical_not(inner, out=inner))
+    v = _horner(_NDTR32_T, out[near])
+    v *= x[near]
+    v += np.float32(0.5)
+    b = out[far]
+    out[near] = v
+    y = np.divide(np.float32(1.0), b)
+    tail = _horner(_NDTR32_R, y)
+    mid = np.flatnonzero(b < 4.0)
+    tail[mid] = _horner(_NDTR32_P, y[mid])
+    tail *= np.sqrt(y, out=y)
+    np.negative(b, out=b)
+    tail *= np.exp(b, out=b)
+    np.subtract(np.float32(1.0), tail, out=tail, where=x[far] > 0.0)
+    out[far] = tail
+
+
 def std_normal_cdf(x: Tensor) -> Tensor:
-    """Standard normal CDF, elementwise: absolute error well under 1e-12 on float64 input,
-    float32 precision (about 1e-7) on float32 input."""
+    """Standard normal CDF, elementwise, computed in the input's dtype.
+
+    float64 is ``scipy.special.ndtr``, bit for bit, with absolute error well
+    under 1e-12. float32 is ``_ndtr32`` (Cephes ndtrf), which never leaves
+    float32. Measured against Phi at 50 digits on [-14, 14]: relative error
+    at most 4.0e-6 wherever Phi >= 1.2e-38 (the float32 normal range), the
+    largest in the far lower tail, where exp(-x^2 / 2) amplifies the rounding
+    of x^2; at most 4.9e-7 for |x| <= 4; and below 1.2e-38 an absolute error
+    under 5e-44, about 31 units of the smallest subnormal. Phi(x) + Phi(-x)
+    is 1 within 2 float32 ulp.
+    """
     slot, xd = x._slot, x.data
-    data = ndtr(xd)
+    data = _ndtr32(xd) if xd.dtype == np.float32 else _ndtr64(xd)
 
     def bwd(g):
         slot.take(g * _INV_SQRT_2PI * np.exp(-0.5 * xd * xd))
@@ -506,9 +596,6 @@ def _col2im(cols: np.ndarray, out: np.ndarray, k: int, stride: int, pad: int, oh
     """The adjoint of _im2col, written into ``out`` [n, c, h, w]; the number of taps is read from ``cols``."""
     n, c, h, w = out.shape
     taps = cols.shape[1] // c
-    if taps == 1 and stride == 1:
-        out[...] = cols.reshape(out.shape)
-        return
     xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     cols5 = cols.reshape(n, c, taps, oh, ow)
     for t in range(taps):
@@ -579,7 +666,10 @@ def _corr_backward(g, x: np.ndarray, slots, kernel_shape, k2, k, stride) -> None
     if x_slot:
         dx = np.empty(x.shape, dtype=g.dtype)
         for s in chunks:
-            _col2im(np.matmul(k2.T, g2[s]), dx[s], k, stride, pad, *g.shape[2:])
+            if taps == 1 and stride == 1:  # the adjoint of _im2col's view: the product is dx itself
+                np.matmul(k2.T, g2[s], out=dx[s].reshape(-1, c, g2.shape[2]))
+            else:
+                _col2im(np.matmul(k2.T, g2[s]), dx[s], k, stride, pad, *g.shape[2:])
         x_slot.take(dx)
 
 

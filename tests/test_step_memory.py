@@ -20,8 +20,11 @@ def test_one_tiny_step_reports_peak_held_bytes_and_the_peak_op():
     backward, record, sample = T.backward, T.GradTape.record, TR.sample_patches
     result = step_memory.measure(32, ModelConfig.tiny())
     assert (T.backward, T.GradTape.record, TR.sample_patches) == (backward, record, sample)  # the probes are out
-    assert set(result) == {"batch", "patch", "peak_mib", "held_at_backward_mib", "peak_op", "held_between_steps_mib"}
+    assert set(result) == {"batch", "patch", "peak_mib", "held_at_backward_mib", "peak_op", "held_between_steps_mib",
+                           "peak_rss_mib", "scipy_loaded"}
     assert (result["batch"], result["patch"]) == (8, 32)
+    assert result["peak_rss_mib"] > result["peak_mib"]
+    assert result["scipy_loaded"] is True  # this suite's own modules import scipy; the tool's process does not
     assert 0.0 < result["held_at_backward_mib"] <= result["peak_mib"] < 13.0
     op = result["peak_op"]
     assert op in ("forward", "backward", "update") or hasattr(T, op) or hasattr(D, op), op

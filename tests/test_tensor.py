@@ -311,6 +311,65 @@ class TestStdNormalCdf:
         assert wide[0] <= wide[1] <= wide[2] <= wide[3]
 
 
+F32_TINY = float(np.finfo(np.float32).tiny)  # 1.2e-38, the smallest normal float32
+
+
+def phi32(x) -> np.ndarray:
+    return T.std_normal_cdf(Tensor(np.asarray(x, dtype=np.float32))).data
+
+
+class TestStdNormalCdfFloat32:
+    """float32 Phi is the engine's own kernel (Cephes ndtrf) and never leaves float32; float64 Phi is scipy's."""
+
+    # float64 Phi at 50 digits on [-14, 14] and the far lower tail, where Phi leaves the float32 normal range
+    # near x = -13.2 and float32 reaches 0 near x = -14.1
+    GRID = np.concatenate([np.linspace(-14.0, 14.0, 2801),
+                           [-13.1, -13.15, -13.2, -13.25, -13.4, -13.6, -13.8, -13.95, -14.05]]).astype(np.float32)
+
+    def test_matches_high_precision_oracle(self):
+        got = phi32(self.GRID).astype(np.float64)
+        want = np.array([phi(float(v)) for v in self.GRID])
+        normal = want >= F32_TINY
+        rel = np.abs(got[normal] - want[normal]) / want[normal]
+        # measured: 4.0e-6 at x = -11.7, where exp(-x^2 / 2) amplifies the rounding of x^2; 4.9e-7 for |x| <= 4,
+        # at the switch from the erf polynomial to the tail near |x| = sqrt 2
+        assert rel.max() < 5e-6
+        assert rel[np.abs(self.GRID[normal]) <= 4.0].max() < 1e-6
+        # below the normal range exp(-x^2 / 2) is subnormal: measured absolute error 4.3e-44, 31 subnormal units
+        assert (~normal).sum() > 50
+        assert np.abs(got[~normal] - want[~normal]).max() < 1e-43
+
+    def test_zeros_infinities_and_nan_without_a_warning(self):
+        x = np.array([0.0, -0.0, -np.inf, np.inf, np.nan, -3e38, 3e38, -1e20, 1e20], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = phi32(x)
+        np.testing.assert_array_equal(got, [0.5, 0.5, 0.0, 1.0, np.nan, 0.0, 1.0, 0.0, 1.0])
+
+    def test_symmetric_within_two_ulp(self):
+        x = np.concatenate([RNG.normal(size=2000) * 4, self.GRID]).astype(np.float32)
+        total = phi32(x).astype(np.float64) + phi32(-x).astype(np.float64)
+        assert np.abs(total - 1.0).max() <= 2 * np.spacing(np.float32(1.0))
+
+    def test_non_decreasing_on_a_dense_grid(self):
+        # steps of 2.7e-5 in x: the erf polynomial and the tail meet near |x| = sqrt 2 within about 4 ulp of
+        # Phi, which a grid of adjacent float32 values there would see, and any step above 1e-6 in x does not
+        x = np.linspace(-14.0, 14.0, 1 << 20, dtype=np.float32)
+        assert np.all(np.diff(phi32(x)) >= 0.0)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (2, 3, 4)])
+    def test_output_is_float32_of_the_input_shape(self, shape):
+        x = RNG.normal(size=shape) * 5
+        got = phi32(x)
+        assert got.dtype == np.float32 and got.shape == shape
+
+    def test_float64_is_scipys_ndtr_bit_for_bit(self):
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.random.default_rng(25).normal(size=5000) * 10, [-40.0, -38.5, -9.0, 8.5, 40.0]])
+        np.testing.assert_array_equal(T.std_normal_cdf(Tensor(x)).data, ndtr(x))
+
+
 def ulps_apart(a: float, b: float) -> int:
     """Distance in units in the last place between two non-negative finite floats."""
     return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
@@ -466,6 +525,36 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert held < 2 * out.data.nbytes, f"{op} held {held / out.data.nbytes:.1f}x its output"
+
+    def test_a_1x1_convolution_makes_its_input_gradient_once(self):
+        # gs5's shape: batch 8, 32 px, 32 channels in float32, a 1 MiB input gradient; the product k2.T @ g is
+        # written straight into it, where a product copied in would peak near twice that
+        x = Tensor(RNG.normal(size=(8, 32, 32, 32)).astype(np.float32), requires_grad=True)
+        k = Tensor(RNG.normal(size=(27, 32, 1, 1)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(27, np.float32), requires_grad=True)
+        peaks = []
+        record = GradTape.record
+
+        def probed_record(tape, out, fn):
+            def probed(g):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fn(g)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+
+            record(tape, out, probed)
+
+        tracemalloc.start()
+        try:
+            with GradTape():
+                GradTape.record = probed_record
+                out = T.conv2d(x, k, b)
+                GradTape.record = record
+                T.backward(T.reduce_sum(out))
+        finally:
+            GradTape.record = record
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 1.5 * x.grad.nbytes, peaks
 
     # consumer of conv2d's output c, whether its backward keeps c, and dL/dc from the upstream g
     CONSUMERS = {
@@ -719,6 +808,7 @@ class TestConvChunks:
     CASES = {
         "conv2d": (T.conv2d, (4, 9, 7), (5, 4, 3, 3), 1),
         "conv2d_stride2": (T.conv2d, (4, 9, 7), (5, 4, 3, 3), 2),
+        "conv2d_1x1": (T.conv2d, (4, 9, 7), (5, 4, 1, 1), 1),  # its input gradient is written in place
         "masked_conv2d": (T.masked_conv2d, (4, 7, 6), (5, 4, 5, 5), 1),
         "conv2d_transposed": (T.conv2d_transposed, (4, 5, 6), (4, 3, 4, 4), 2),
     }

@@ -10,7 +10,10 @@ what that step holds when backward starts (the tape's records and closures,
 the loss and the batch); ``peak_op``, where the peak was reached; and
 ``held_between_steps_mib``, what the loop holds as the second step starts
 above what it held as the first one started (Adam's moments, and anything
-else the first step left behind). ``peak_op`` is the op whose backward
+else the first step left behind); ``peak_rss_mib``, the process's peak
+resident set (``ru_maxrss``, KiB on Linux) after the run, imports included;
+and ``scipy_loaded``, whether any ``scipy`` module is loaded by then, which a
+float32 training process never needs. ``peak_op`` is the op whose backward
 closure was running, named as ``perfbench``'s trace names closures, or
 ``forward`` (before backward), ``backward`` (between closures) or
 ``update`` (after backward). Weights made before the run are not counted.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -111,7 +115,9 @@ def measure(patch: int, model_config=None, batch: int = 8) -> dict:
     first, second = probe.held_at_start
     return {"batch": batch, "patch": patch, "peak_mib": round(probe.peak[0] / MIB, 2),
             "held_at_backward_mib": round(probe.held_at_backward / MIB, 2), "peak_op": probe.peak[1],
-            "held_between_steps_mib": round((second - first) / MIB, 2)}
+            "held_between_steps_mib": round((second - first) / MIB, 2),
+            "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "scipy_loaded": any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)}
 
 
 def main() -> int:
