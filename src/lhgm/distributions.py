@@ -26,8 +26,9 @@ precision down to the underflow of Phi near t = -38; Phi(t) itself near
 folded edge bins fall out of the same expression: the alphabet's outer
 edges are -inf and +inf, whose signed tails are 0, so the bin at lo is
 Phi(lo + 1/2) and the bin at hi is 1 - Phi(hi - 1/2), and a one-symbol
-alphabet gets mass 1. An alphabet of A symbols costs A + 1 edge
-evaluations per component, one Phi per edge.
+alphabet gets mass 1. Both paths fold at -inf and +inf and form their
+signed tails in one kernel, ``_signed_tail``. An alphabet of A symbols
+costs A + 1 edge evaluations per component, one Phi per edge.
 
 Phi computes in the parameters' dtype, through ``lhgm.tensor``: a float32
 training step's ``mixture_prob`` runs the engine's float32 kernel, whose
@@ -131,31 +132,30 @@ class MixtureParams:
 
 
 def _edge_t(edge: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """t = (edge - mu) / sigma of one bin edge per component; forward and backward both compute t with it."""
+    """t = (edge - mu) / sigma of each bin edge per component; forward and backward both compute t with it."""
     return (edge - mu) / sigma
 
 
-def _signed_tail(t: np.ndarray, folded: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The signed tail g = c * Phi(c * t) of one bin edge per component, and c; ``t`` is overwritten with c * t.
+def _signed_tail(t: np.ndarray, above: np.ndarray, phi) -> np.ndarray:
+    """g = Phi(-|t|), negated where t > 0, of each edge's t (0 at -inf and +inf); ``above`` receives t > 0.
 
-    c is +1 at or below the mean and -1 above it, so c * t = -|t|; it is 0
-    on folded edges, whose tail is the constant 0. Phi runs as the engine's
-    ``std_normal_cdf`` on a constant, which records nothing and computes in
-    t's dtype (see the module docstring); the detour exists only so that the
-    trace's ``tensor.fwd.std_normal_cdf`` span still times Phi in training.
+    ``t`` is overwritten with -|t|, and ``phi``, Phi, runs on it once and may
+    return it. The table path passes scipy's float64 ``ndtr`` in place, as its
+    workers are threads and the engine's ``std_normal_cdf`` is traced;
+    ``mixture_prob`` passes ``std_normal_cdf`` on a constant, which records
+    nothing and computes in t's dtype, so that the trace's
+    ``tensor.fwd.std_normal_cdf`` span still times Phi in training.
     """
-    scalar = t.dtype.type
-    c = np.where(t > 0.0, scalar(-1.0), scalar(1.0))
-    if folded is not None:
-        c[np.broadcast_to(folded, c.shape)] = 0.0
-    t *= c
-    g = T.std_normal_cdf(Tensor(t)).data
-    g *= c
-    return g, c
+    np.greater(t, 0.0, out=above)
+    np.abs(t, out=t)
+    np.negative(t, out=t)
+    g = phi(t)
+    np.negative(g, out=g, where=above)
+    return g
 
 
 def _edge_density(t: np.ndarray, folded: np.ndarray | None) -> np.ndarray:
-    """f = phi(t) * c * c, the derivative of a signed tail in t: phi(t), and 0 on folded edges."""
+    """f, the derivative of a signed tail in t: phi(t), and 0 on folded edges."""
     f = np.multiply(t, -0.5)
     f *= t
     np.exp(f, out=f)
@@ -178,8 +178,8 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
     give the same expression in float32.
 
     The gradient is analytic. With per = g(u) - g(l) + [straddle] the bin
-    mass of a component, f = phi(t) * c * c at each edge (0 on folded
-    edges) and G the upstream gradient: dw = G * per,
+    mass of a component, f = phi(t) at each edge, 0 on folded edges, and
+    G the upstream gradient: dw = G * per,
     dmu = G * w * (f(l) - f(u)) / sigma, dsigma = G * w * (f(l) * t(l) -
     f(u) * t(u)) / sigma, and dv = sum over k of G * w * (f(u) - f(l)) / sigma.
     Backward keeps per, w, mu, sigma, the values and the folds, and the
@@ -192,15 +192,18 @@ def mixture_prob(params: MixtureParams, values: Tensor, alphabet: Alphabet | Non
     n, _, c, h, w = weights.shape
     lo_fold = hi_fold = None
     per_element = values.data.reshape(n, 1, c, h, w)
+    half = per_element.dtype.type(0.5)
+    w_data, mu, sigma = weights.data, means.data, scales.data
+    t = _edge_t(np.stack((per_element - half, per_element + half)), mu, sigma)  # [lower, upper], [2, N, K, C, H, W]
     if alphabet is not None:
         alphabet.check(values.data)
         lo_fold, hi_fold = per_element == alphabet.lo, per_element == alphabet.hi
-    half = per_element.dtype.type(0.5)
-    w_data, mu, sigma = weights.data, means.data, scales.data
-    g_upper, c_upper = _signed_tail(_edge_t(per_element + half, mu, sigma), hi_fold)
-    g_lower, c_lower = _signed_tail(_edge_t(per_element - half, mu, sigma), lo_fold)
-    per = g_upper - g_lower + ((c_lower >= 0.0) & (c_upper <= 0.0)).astype(c_lower.dtype)
-    del g_upper, g_lower, c_upper, c_lower  # before the weighted sum: backward keeps only per
+        np.copyto(t[0], -np.inf, where=lo_fold)
+        np.copyto(t[1], np.inf, where=hi_fold)
+    above = np.empty(t.shape, dtype=bool)
+    g = _signed_tail(t, above, lambda u: T.std_normal_cdf(Tensor(u)).data)
+    per = g[1] - g[0] + (above[1] > above[0])
+    del t, above, g  # before the weighted sum: backward keeps only per
     slots = tuple(map(T._slot_if_needed, (weights, means, scales, values)))
 
     def bwd(g):
@@ -277,12 +280,8 @@ def mixture_pmf(weights: np.ndarray, means: np.ndarray, scales: np.ndarray, alph
             t, above, p, straddle = (a[:n] for a in scratch[j])
             np.subtract(edges, means[rows, :, None], out=t)  # t = (e - mu) / sigma, [n, K, A + 1]
             t /= scales[rows, :, None]
-            np.greater(t, 0.0, out=above)
-            np.abs(t, out=t)
-            np.negative(t, out=t)
-            T._ndtr64(t, out=t)  # g = Phi(-|t|), negated above the mean
-            np.negative(t, out=t, where=above)
-            np.subtract(t[:, :, 1:], t[:, :, :-1], out=p)
+            g = _signed_tail(t, above, lambda u: T._ndtr64(u, out=u))
+            np.subtract(g[:, :, 1:], g[:, :, :-1], out=p)
             np.greater(above[:, :, 1:], above[:, :, :-1], out=straddle)
             p += straddle
             p *= weights[rows, :, None]

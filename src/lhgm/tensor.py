@@ -630,10 +630,10 @@ def _check_conv_args(x: Tensor, kernel: Tensor, bias: Tensor, in_axis: int, opna
 # chunks, and all three add the kernel gradient, the sum over n of a[n] @ b[n].T,
 # with _add_kernel_grad.
 def _add_kernel_grad(dk: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """dk += a[i] @ b[i].T for each sample i in order: the bits of np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0)
-    when dk starts as zeros."""
+    """dk += a[i] @ b[i].T, reshaped to dk's shape, for each sample i in order: the bits of
+    np.matmul(a, b.transpose(0, 2, 1)).sum(axis=0) when dk starts as zeros. dk may be a strided view."""
     for ai, bi in zip(a, b):
-        dk += np.matmul(ai, bi.T)
+        dk += np.matmul(ai, bi.T).reshape(dk.shape)
 
 
 def _corr_forward(x: np.ndarray, k2: np.ndarray, bias: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -657,11 +657,9 @@ def _corr_backward(g, x: np.ndarray, slots, kernel_shape, k2, k, stride) -> None
     c, taps, pad = x.shape[1], k2.shape[1] // x.shape[1], k // 2
     chunks = _sample_chunks(n, k2.shape[1] * g2.shape[2] * x.itemsize)
     if kernel_slot:
-        dk2 = np.zeros(k2.shape, dtype=g.dtype)
-        for s in chunks:
-            _add_kernel_grad(dk2, g2[s], _im2col(x[s], k, stride, pad, taps))
         dk = np.zeros(kernel_shape, dtype=g.dtype)  # 0.0 on the taps k2 leaves out
-        dk.reshape(o, c, k * k)[:, :, :taps] = dk2.reshape(o, c, -1)
+        for s in chunks:
+            _add_kernel_grad(dk.reshape(o, c, k * k)[:, :, :taps], g2[s], _im2col(x[s], k, stride, pad, taps))
         kernel_slot.take(dk)
     if x_slot:
         dx = np.empty(x.shape, dtype=g.dtype)
@@ -714,7 +712,7 @@ def conv2d_transposed(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         for s in chunks:
             gcols = _im2col(g[s], k, 2, pad, k * k)  # back to [samples, co*k*k, h*w]
             if kernel_slot:
-                _add_kernel_grad(dk.reshape(k2.shape), x2[s], gcols)
+                _add_kernel_grad(dk, x2[s], gcols)
             if x_slot:
                 np.matmul(k2, gcols, out=dx.reshape(x2.shape)[s])
         if kernel_slot:
